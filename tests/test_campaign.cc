@@ -270,6 +270,25 @@ TEST(CampaignDeterminism, SharedMatchesNaiveAcrossThreads) {
   std::filesystem::remove_all(store);
 }
 
+// Golden pin: small_spec()'s folded campaign hash, captured before the
+// evaluation protocol moved into core/protocol. Never re-pin it to make a
+// refactor pass.
+constexpr std::uint64_t kGoldenSmallSpecHash = 9200533930208911755ULL;
+
+TEST(CampaignDeterminism, SmallSpecHashPinned) {
+  const CampaignSpec spec = small_spec();
+  const std::string store = temp_store("memfp_campaign_golden");
+  for (const int threads : {1, 4}) {
+    CampaignConfig config;
+    config.store_dir = store;
+    config.num_threads = threads;
+    CampaignEngine engine(config);
+    EXPECT_EQ(engine.run(spec).campaign_hash, kGoldenSmallSpecHash)
+        << threads << " threads";
+  }
+  std::filesystem::remove_all(store);
+}
+
 TEST(CampaignDeterminism, RerunOnWarmEngineHitsAndMatches) {
   const CampaignSpec spec = point_spec();
   const std::string store = temp_store("memfp_campaign_rerun");

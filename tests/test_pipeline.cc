@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <set>
 
 #include "core/predictor.h"
 #include "sim/fleet.h"
+#include "sim/trace_store.h"
 
 namespace memfp::core {
 namespace {
@@ -106,6 +108,64 @@ TEST(Pipeline, RunWithModelHandsBackFittedModel) {
   const std::vector<double> scores =
       model->predict_batch(experiment.train_set().x);
   EXPECT_EQ(scores.size(), experiment.train_set().size());
+}
+
+// ---------------------------------------------------------------------------
+// Golden pins: the evaluation protocol (split, per-DIMM downsampling,
+// rebalancing, threshold tuning, DIMM-level scoring) must not drift. The
+// values were captured before the protocol moved into core/protocol and
+// must never be re-pinned to make a refactor pass.
+// ---------------------------------------------------------------------------
+
+std::uint64_t fold_result(std::uint64_t h, const Experiment::Result& r) {
+  for (const std::size_t count :
+       {r.confusion.tp, r.confusion.fp, r.confusion.fn, r.confusion.tn}) {
+    h = sim::fnv1a_u64(h, count);
+  }
+  h = sim::fnv1a_u64(h, std::bit_cast<std::uint64_t>(r.threshold));
+  h = sim::fnv1a_u64(h, std::bit_cast<std::uint64_t>(r.f1));
+  return sim::fnv1a_u64(h, std::bit_cast<std::uint64_t>(r.sample_pr_auc));
+}
+
+std::uint64_t train_set_hash(const ml::Dataset& d) {
+  std::uint64_t h = sim::kFnvOffset;
+  h = sim::fnv1a_u64(h, d.size());
+  h = sim::fnv1a_u64(h, d.x.cols());
+  for (std::size_t r = 0; r < d.size(); ++r) {
+    for (const float value : d.x.row(r)) {
+      h = sim::fnv1a_u64(h, std::bit_cast<std::uint32_t>(value));
+    }
+    h = sim::fnv1a_u64(h, static_cast<std::uint64_t>(d.y[r]));
+    h = sim::fnv1a_u64(h, std::bit_cast<std::uint32_t>(d.weight[r]));
+    h = sim::fnv1a_u64(h, d.dimm[r]);
+    h = sim::fnv1a_u64(h, static_cast<std::uint64_t>(d.time[r]));
+  }
+  for (const std::size_t col : d.categorical) h = sim::fnv1a_u64(h, col);
+  return h;
+}
+
+constexpr std::uint64_t kGoldenResultsHash = 11887495554415988753ULL;
+constexpr std::uint64_t kGoldenTrainSetHash = 17583652418404990579ULL;
+
+TEST(PipelineGolden, ResultsPinnedAtAnyThreadCount) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    PipelineConfig config;
+    config.num_threads = threads;
+    Experiment experiment(small_fleet(), config);
+    std::uint64_t h = sim::kFnvOffset;
+    for (const Algorithm algorithm :
+         {Algorithm::kRandomForest, Algorithm::kLightGbm,
+          Algorithm::kRiskyCePattern}) {
+      h = fold_result(h, experiment.run(algorithm));
+    }
+    EXPECT_EQ(h, kGoldenResultsHash);
+  }
+}
+
+TEST(PipelineGolden, TrainSetPinned) {
+  Experiment experiment(small_fleet(), PipelineConfig{});
+  EXPECT_EQ(train_set_hash(experiment.train_set()), kGoldenTrainSetHash);
 }
 
 TEST(Predictor, TrainScorePredictRoundTrip) {
