@@ -1,7 +1,7 @@
 // Campaign engine bench (ROADMAP item 5): runs the same ≥24-point
-// fault × ECC × predictor × policy sweep twice — once through the
-// content-addressed stage cache (work-sharing path) and once as the naive
-// per-config pipeline that re-simulates, re-extracts, re-trains and
+// fault × ECC × predictor × policy sweep twice — once through one engine's
+// content-addressed stage cache (work-sharing path) and once naively, one
+// fresh engine per point, which re-simulates, re-extracts, re-trains and
 // re-scores every point — and records the wall-clock ratio. Both runs use
 // the same fixed thread count, and the folded campaign hashes must match:
 // the speedup is pure work-sharing, not a different computation.
@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -96,16 +97,62 @@ struct Leg {
   double seconds = 0.0;
 };
 
-Leg run_leg(const core::CampaignSpec& spec, const std::string& store_dir,
-            bool share_stages) {
+core::CampaignEngine make_engine(const std::string& store_dir) {
   core::CampaignConfig config;
   config.store_dir = store_dir;
   config.num_threads = kThreads;
-  config.share_stages = share_stages;
-  core::CampaignEngine engine(config);
+  return core::CampaignEngine(config);
+}
+
+/// The work-sharing path: the whole sweep through one engine.
+Leg run_shared(const core::CampaignSpec& spec, const std::string& store_dir) {
+  core::CampaignEngine engine = make_engine(store_dir);
   const auto start = std::chrono::steady_clock::now();
   Leg leg;
   leg.result = engine.run(spec);
+  leg.seconds = seconds_since(start);
+  return leg;
+}
+
+/// The naive path: every point in a fresh engine of its own, so no stage is
+/// shared, with the point's sweep indices written back before hashing.
+Leg run_naive(const core::CampaignSpec& spec, const std::string& store_dir) {
+  const auto start = std::chrono::steady_clock::now();
+  Leg leg;
+  core::CampaignResult& out = leg.result;
+  out.stats.points = spec.points();
+  const auto add = [](core::StageCounters& to, const core::StageCounters& from) {
+    to.hits += from.hits;
+    to.misses += from.misses;
+  };
+  for (std::size_t s = 0; s < spec.scenarios.size(); ++s) {
+    for (std::size_t e = 0; e < spec.eccs.size(); ++e) {
+      for (std::size_t p = 0; p < spec.predictors.size(); ++p) {
+        for (std::size_t q = 0; q < spec.policies.size(); ++q) {
+          core::CampaignSpec one = spec;
+          one.scenarios = {spec.scenarios[s]};
+          one.eccs = {spec.eccs[e]};
+          one.predictors = {spec.predictors[p]};
+          one.policies = {spec.policies[q]};
+          core::CampaignEngine engine = make_engine(store_dir);
+          const core::CampaignResult run = engine.run(one);
+          core::CampaignPointResult point = run.points.front();
+          point.scenario = s;
+          point.ecc = e;
+          point.predictor = p;
+          point.policy = q;
+          out.campaign_hash =
+              sim::fnv1a_u64(out.campaign_hash, point.result_hash());
+          out.points.push_back(std::move(point));
+          add(out.stats.simulate, run.stats.simulate);
+          add(out.stats.extract, run.stats.extract);
+          add(out.stats.train, run.stats.train);
+          add(out.stats.score, run.stats.score);
+          out.stats.policy_sweeps += run.stats.policy_sweeps;
+        }
+      }
+    }
+  }
   leg.seconds = seconds_since(start);
   return leg;
 }
@@ -138,10 +185,8 @@ int main(int argc, char** argv) {
   // Naive first (the expensive leg), shared second; each leg gets its own
   // store so the naive engine's re-simulations never collide with the
   // shared engine's cached shard directories.
-  const Leg naive =
-      run_leg(spec, (store_root / "naive").string(), /*share_stages=*/false);
-  const Leg shared =
-      run_leg(spec, (store_root / "shared").string(), /*share_stages=*/true);
+  const Leg naive = run_naive(spec, (store_root / "naive").string());
+  const Leg shared = run_shared(spec, (store_root / "shared").string());
   std::filesystem::remove_all(store_root);
 
   MEMFP_CHECK(shared.result.campaign_hash == naive.result.campaign_hash)

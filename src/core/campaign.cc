@@ -51,6 +51,9 @@ double resolve_threshold(const PolicySpec& policy, double tuned) {
              : tuned * policy.tuned_scale;
 }
 
+/// The campaign's ground-truth rule (see CampaignPointResult).
+constexpr GroundTruth kPolicyLevel = GroundTruth::kAnyUe;
+
 StageCounters counter_delta(const StageCounters& before,
                             const StageCounters& after) {
   return {after.hits - before.hits, after.misses - before.misses};
@@ -161,15 +164,9 @@ struct CampaignEngine::FleetArtifact {
   /// lookup for the page-offline replay.
   std::vector<std::size_t> shard_begin;
 
-  struct DimmMeta {
-    dram::DimmId id = 0;
-    bool has_ce = false;      ///< logged CE history (ML eligibility)
-    bool has_ue = false;
-    bool predictable = false;  ///< UE with prior CE (model-level positive)
-    SimTime ue_time = 0;       ///< valid when has_ue
-    FaultClass fault_class = FaultClass::kNone;
-  };
-  std::vector<DimmMeta> dimms;  ///< observed DIMMs in id order
+  /// Observed DIMMs in id order, and each one's dominant fault class.
+  std::vector<DimmFacts> dimms;
+  std::vector<FaultClass> fault_class;
 
   dram::Platform platform = dram::Platform::kIntelPurley;
   SimTime horizon = 0;
@@ -247,7 +244,7 @@ std::uint64_t CampaignEngine::simulate_key(const ScenarioSpec& scenario,
 
 std::uint64_t CampaignEngine::extract_key(
     const ScenarioSpec& scenario, const EccSpec& ecc,
-    const PredictorSpec& predictor, const CampaignSampling& sampling) const {
+    const PredictorSpec& predictor, const SamplingParams& sampling) const {
   StageKey key;
   key.mix(kExtractSalt);
   key.mix(simulate_key(scenario, ecc));
@@ -265,7 +262,7 @@ std::uint64_t CampaignEngine::extract_key(
 std::uint64_t CampaignEngine::train_key(const ScenarioSpec& scenario,
                                         const EccSpec& ecc,
                                         const PredictorSpec& predictor,
-                                        const CampaignSampling& sampling)
+                                        const SamplingParams& sampling)
     const {
   StageKey key;
   key.mix(kTrainSalt);
@@ -280,10 +277,9 @@ std::uint64_t CampaignEngine::train_key(const ScenarioSpec& scenario,
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<const CampaignEngine::FleetArtifact>
-CampaignEngine::run_simulate(const ScenarioSpec& scenario, const EccSpec& ecc,
-                             StageCache& cache) {
+CampaignEngine::run_simulate(const ScenarioSpec& scenario, const EccSpec& ecc) {
   const std::uint64_t key = simulate_key(scenario, ecc);
-  return cache.get_or_compute<FleetArtifact>(Stage::kSimulate, key, [&] {
+  return cache_.get_or_compute<FleetArtifact>(Stage::kSimulate, key, [&] {
     auto artifact = std::make_shared<FleetArtifact>();
     const sim::ScenarioParams& params = scenario.params;
     artifact->platform = params.platform;
@@ -318,35 +314,24 @@ CampaignEngine::run_simulate(const ScenarioSpec& scenario, const EccSpec& ecc,
       const std::vector<sim::PlannedDimm> jobs = planner.take(end - begin);
       if (jobs.empty()) continue;
 
-      std::vector<sim::DimmTrace> traces(jobs.size());
-      std::vector<FaultClass> classes(jobs.size(), FaultClass::kNone);
-      ThreadPool::global().parallel_for(
-          jobs.size(),
-          [&](std::size_t i) {
-            traces[i] = sim::simulate_planned_dimm(jobs[i], params, simulator,
-                                                   geometry);
-            classes[i] = dominant_fault_class(traces[i]);
-          },
-          /*grain=*/1);
-
       const std::string path =
           sim::shard_path(dir, artifact->shard_files.size());
-      sim::ShardWriter writer(path, params.platform, params.horizon);
+      const SimulatedShard shard = simulate_shard(
+          jobs, params, simulator, geometry, path, artifact->trace_hash);
+      artifact->trace_hash = shard.trace_hash;
+      std::vector<FaultClass> classes(shard.observed.size());
+      ThreadPool::global().parallel_for(
+          shard.observed.size(),
+          [&](std::size_t i) {
+            classes[i] = dominant_fault_class(shard.observed[i]);
+          },
+          /*grain=*/1);
       artifact->shard_begin.push_back(artifact->dimms.size());
-      for (std::size_t i = 0; i < traces.size(); ++i) {
-        if (!sim::enters_observed_dataset(jobs[i].kind, traces[i])) continue;
-        artifact->trace_hash =
-            sim::fnv1a_u64(artifact->trace_hash, writer.append(traces[i]));
-        FleetArtifact::DimmMeta meta;
-        meta.id = traces[i].id;
-        meta.has_ce = !traces[i].ces.empty();
-        meta.has_ue = traces[i].has_ue();
-        meta.predictable = traces[i].predictable_ue();
-        meta.ue_time = traces[i].ue ? traces[i].ue->time : 0;
-        meta.fault_class = classes[i];
-        artifact->dimms.push_back(meta);
+      for (std::size_t i = 0; i < shard.observed.size(); ++i) {
+        artifact->dimms.push_back(DimmFacts::of(shard.observed[i]));
+        artifact->fault_class.push_back(classes[i]);
       }
-      artifact->totals.add(writer.finish());
+      artifact->totals.add(shard.stats);
       artifact->shard_files.push_back(path);
     }
     MEMFP_CHECK_EQ(planner.produced(), total);
@@ -361,68 +346,29 @@ CampaignEngine::run_simulate(const ScenarioSpec& scenario, const EccSpec& ecc,
 std::shared_ptr<const CampaignEngine::FeatureArtifact>
 CampaignEngine::run_extract(const ScenarioSpec& scenario, const EccSpec& ecc,
                             const PredictorSpec& predictor,
-                            const CampaignSampling& sampling,
-                            StageCache& cache) {
+                            const SamplingParams& sampling) {
   const std::uint64_t key = extract_key(scenario, ecc, predictor, sampling);
-  return cache.get_or_compute<FeatureArtifact>(Stage::kExtract, key, [&] {
+  return cache_.get_or_compute<FeatureArtifact>(Stage::kExtract, key, [&] {
     const std::shared_ptr<const FleetArtifact> fleet =
-        run_simulate(scenario, ecc, cache);
+        run_simulate(scenario, ecc);
     auto artifact = std::make_shared<FeatureArtifact>();
     artifact->fleet = fleet;
 
     // Train/val/test roles. The split depends on the fleet and the sampling
     // seed only — never on windows — so predictors that differ in window
-    // config are still evaluated on the same held-out DIMMs. No-CE DIMMs
-    // (sudden UEs) carry no trainable telemetry and always land in test:
-    // the policy-level protocol charges their UEs to the result (class
-    // kSudden in the attribution table).
-    enum class Role : std::uint8_t { kTrain, kVal, kTest };
-    std::vector<Role> roles(fleet->dimms.size(), Role::kTest);
-    {
-      Rng split_rng(sim::fnv1a_u64(simulate_key(scenario, ecc),
-                                   sampling.seed));
-      std::vector<dram::DimmId> positive_ids, negative_ids;
-      for (const FleetArtifact::DimmMeta& meta : fleet->dimms) {
-        if (!meta.has_ce) continue;
-        (meta.predictable ? positive_ids : negative_ids).push_back(meta.id);
-      }
-      const ml::DimmSplit split = ml::split_dimms(
-          positive_ids, negative_ids, sampling.test_fraction, split_rng);
-      std::vector<dram::DimmId> test_sorted = split.test;
-      std::sort(test_sorted.begin(), test_sorted.end());
-
-      std::vector<dram::DimmId> train_pos, train_neg;
-      for (std::size_t i = 0; i < fleet->dimms.size(); ++i) {
-        const FleetArtifact::DimmMeta& meta = fleet->dimms[i];
-        if (!meta.has_ce) continue;  // stays kTest
-        if (std::binary_search(test_sorted.begin(), test_sorted.end(),
-                               meta.id)) {
-          continue;  // stays kTest
-        }
-        roles[i] = Role::kTrain;
-        (meta.predictable ? train_pos : train_neg).push_back(meta.id);
-      }
-      const ml::DimmSplit val_split = ml::split_dimms(
-          train_pos, train_neg, sampling.validation_fraction, split_rng);
-      std::vector<dram::DimmId> val_sorted = val_split.test;
-      std::sort(val_sorted.begin(), val_sorted.end());
-      for (std::size_t i = 0; i < fleet->dimms.size(); ++i) {
-        if (roles[i] == Role::kTrain &&
-            std::binary_search(val_sorted.begin(), val_sorted.end(),
-                               fleet->dimms[i].id)) {
-          roles[i] = Role::kVal;
-        }
-      }
-    }
+    // config are still evaluated on the same held-out DIMMs.
+    Rng split_rng(sim::fnv1a_u64(simulate_key(scenario, ecc), sampling.seed));
+    const std::vector<Role> roles =
+        assign_roles(fleet->dimms, sampling, kPolicyLevel, split_rng);
 
     const features::FeatureExtractor train_extractor(predictor.windows);
     features::PredictionWindows eval_windows = predictor.windows;
     eval_windows.cadence = predictor.eval_cadence;
     const features::FeatureExtractor eval_extractor(eval_windows);
 
-    features::SampleSet train_set;
-    train_set.schema = train_extractor.schema();
     Rng sample_rng(sim::fnv1a_u64(key, 0x5a3fULL));
+    TrainingSetBuilder train_set(train_extractor.schema(), sampling,
+                                 sample_rng);
 
     const auto append_eval = [](FeatureArtifact::EvalSet& set, std::size_t g,
                                 const std::vector<features::Sample>& samples) {
@@ -460,38 +406,16 @@ CampaignEngine::run_extract(const ScenarioSpec& scenario, const EccSpec& ecc,
               fold_sample_hash(artifact->feature_hash, sample);
         }
         switch (roles[g]) {
-          case Role::kTrain: {
-            // Per-DIMM downsampling before pooling (the pipeline's memory
-            // discipline): negatives uniformly, positives keep the latest.
-            std::vector<features::Sample> positives, negatives;
-            for (features::Sample& sample : samples) {
-              if (sample.label == 1) positives.push_back(std::move(sample));
-              else if (sample.label == 0) negatives.push_back(std::move(sample));
-            }
-            if (negatives.size() > sampling.max_negatives_per_dimm) {
-              sample_rng.shuffle(negatives);
-              negatives.resize(sampling.max_negatives_per_dimm);
-            }
-            if (positives.size() > sampling.max_positives_per_dimm) {
-              positives.erase(
-                  positives.begin(),
-                  positives.end() -
-                      static_cast<std::ptrdiff_t>(
-                          sampling.max_positives_per_dimm));
-            }
-            for (features::Sample& sample : negatives) {
-              train_set.samples.push_back(std::move(sample));
-            }
-            for (features::Sample& sample : positives) {
-              train_set.samples.push_back(std::move(sample));
-            }
+          case Role::kTrain:
+            train_set.add_dimm(std::move(samples));
             break;
-          }
           case Role::kVal:
             append_eval(artifact->val, g, samples);
             break;
           case Role::kTest:
             append_eval(artifact->test, g, samples);
+            break;
+          case Role::kExcluded:  // not produced under kPolicyLevel
             break;
         }
       }
@@ -499,8 +423,7 @@ CampaignEngine::run_extract(const ScenarioSpec& scenario, const EccSpec& ecc,
     }
     MEMFP_CHECK_EQ(base, fleet->dimms.size());
 
-    artifact->train = ml::make_dataset(train_set);
-    ml::rebalance_weights(artifact->train, sampling.positive_weight_share);
+    artifact->train = train_set.finish();
     MEMFP_INFO << "campaign extract[" << scenario.name << "/" << ecc.name
                << "/" << predictor.name << "]: " << artifact->train.size()
                << " train rows, " << artifact->val.dimm.size() << " val / "
@@ -511,15 +434,14 @@ CampaignEngine::run_extract(const ScenarioSpec& scenario, const EccSpec& ecc,
 
 std::shared_ptr<const CampaignEngine::ModelArtifact> CampaignEngine::run_train(
     const ScenarioSpec& scenario, const EccSpec& ecc,
-    const PredictorSpec& predictor, const CampaignSampling& sampling,
-    StageCache& cache) {
+    const PredictorSpec& predictor, const SamplingParams& sampling) {
   const std::uint64_t key = train_key(scenario, ecc, predictor, sampling);
-  return cache.get_or_compute<ModelArtifact>(Stage::kTrain, key, [&] {
+  return cache_.get_or_compute<ModelArtifact>(Stage::kTrain, key, [&] {
     MEMFP_CHECK(predictor.algorithm != Algorithm::kRiskyCePattern)
         << "campaign: the predictor axis needs a feature model; the "
            "trace-based rule baseline has no train/score stages to share";
     const std::shared_ptr<const FeatureArtifact> features =
-        run_extract(scenario, ecc, predictor, sampling, cache);
+        run_extract(scenario, ecc, predictor, sampling);
     auto artifact = std::make_shared<ModelArtifact>();
     artifact->features = features;
     std::unique_ptr<ml::BinaryClassifier> model =
@@ -539,12 +461,11 @@ std::shared_ptr<const CampaignEngine::ModelArtifact> CampaignEngine::run_train(
 
 std::shared_ptr<const CampaignEngine::ScoreArtifact> CampaignEngine::run_score(
     const ScenarioSpec& scenario, const EccSpec& ecc,
-    const PredictorSpec& predictor, const CampaignSampling& sampling,
-    StageCache& cache) {
+    const PredictorSpec& predictor, const SamplingParams& sampling) {
   const std::uint64_t key = train_key(scenario, ecc, predictor, sampling);
-  return cache.get_or_compute<ScoreArtifact>(Stage::kScore, key, [&] {
+  return cache_.get_or_compute<ScoreArtifact>(Stage::kScore, key, [&] {
     const std::shared_ptr<const ModelArtifact> model =
-        run_train(scenario, ecc, predictor, sampling, cache);
+        run_train(scenario, ecc, predictor, sampling);
     const FeatureArtifact& parts = *model->features;
     auto artifact = std::make_shared<ScoreArtifact>();
     artifact->model = model;
@@ -567,18 +488,17 @@ std::shared_ptr<const CampaignEngine::ScoreArtifact> CampaignEngine::run_score(
     artifact->val_dimm = parts.val.dimm;
     artifact->test_dimm = parts.test.dimm;
 
-    // Tune the F1 threshold on the validation fold (model-level positives:
-    // predictable UEs), once per score artifact — every policy deriving
-    // its threshold from the tuned point reuses this value.
+    // Tune the F1 threshold on the validation fold, once per score
+    // artifact — every policy deriving its threshold from the tuned point
+    // reuses this value. Tuning is model level in both protocols: the
+    // predictor is tuned for the UEs it can see.
     const std::size_t val_streams = artifact->val.streams();
     std::vector<ScoredStream> streams(val_streams);
     std::vector<AlarmOutcome> outcomes(val_streams);
     for (std::size_t i = 0; i < val_streams; ++i) {
       streams[i] = artifact->val.stream(i);
-      const FleetArtifact::DimmMeta& meta =
-          parts.fleet->dimms[artifact->val_dimm[i]];
-      outcomes[i].positive = meta.predictable;
-      outcomes[i].ue_time = meta.ue_time;
+      outcomes[i] = ground_truth(parts.fleet->dimms[artifact->val_dimm[i]],
+                                 GroundTruth::kPredictableUe);
     }
     artifact->tuned_threshold =
         tune_threshold(streams, outcomes, predictor.windows);
@@ -638,14 +558,12 @@ CampaignPointResult CampaignEngine::evaluate_policy(
   std::vector<AlarmOutcome> outcomes(n);
   std::vector<FaultClass> classes(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const FleetArtifact::DimmMeta& meta = fleet.dimms[scored.test_dimm[i]];
-    // Policy-level ground truth: any UE counts, including sudden ones the
-    // predictor cannot see (their empty streams never alarm → FN, charged
-    // to class kSudden in the attribution table).
-    outcomes[i].positive = meta.has_ue;
-    outcomes[i].ue_time = meta.ue_time;
+    // Sudden UEs count too: their empty streams never alarm → FN, charged
+    // to class kSudden in the attribution table.
+    const std::size_t g = scored.test_dimm[i];
+    outcomes[i] = ground_truth(fleet.dimms[g], kPolicyLevel);
     outcomes[i].alarm = alarms[i];
-    classes[i] = meta.fault_class;
+    classes[i] = fleet.fault_class[g];
   }
 
   point.confusion = dimm_confusion(outcomes, predictor.windows);
@@ -706,83 +624,44 @@ CampaignResult CampaignEngine::run(const CampaignSpec& spec) {
   CampaignResult result;
   result.stats.points = spec.points();
 
-  if (config_.share_stages) {
-    const StageCounters before[kStageCount] = {
-        cache_.counters(Stage::kSimulate), cache_.counters(Stage::kExtract),
-        cache_.counters(Stage::kTrain), cache_.counters(Stage::kScore)};
-    for (std::size_t s = 0; s < spec.scenarios.size(); ++s) {
-      for (std::size_t e = 0; e < spec.eccs.size(); ++e) {
-        for (std::size_t p = 0; p < spec.predictors.size(); ++p) {
-          const std::shared_ptr<const ScoreArtifact> scored = run_score(
-              spec.scenarios[s], spec.eccs[e], spec.predictors[p],
-              spec.sampling, cache_);
-          // The whole policy axis collapses to one vectorized sweep over
-          // the cached score streams.
-          std::vector<double> thresholds;
-          thresholds.reserve(spec.policies.size());
-          for (const PolicySpec& policy : spec.policies) {
-            thresholds.push_back(
-                resolve_threshold(policy, scored->tuned_threshold));
-          }
-          const std::vector<std::optional<SimTime>> alarms =
-              scored->test.first_alarms(thresholds);
-          ++result.stats.policy_sweeps;
-          const auto ue_traces = load_ue_test_traces(*scored);
-          const std::size_t n = scored->test.streams();
-          for (std::size_t q = 0; q < spec.policies.size(); ++q) {
-            result.points.push_back(evaluate_policy(
-                spec, s, e, p, q, *scored, thresholds[q],
-                std::span(alarms).subspan(q * n, n), ue_traces));
-          }
+  const StageCounters before[kStageCount] = {
+      cache_.counters(Stage::kSimulate), cache_.counters(Stage::kExtract),
+      cache_.counters(Stage::kTrain), cache_.counters(Stage::kScore)};
+  for (std::size_t s = 0; s < spec.scenarios.size(); ++s) {
+    for (std::size_t e = 0; e < spec.eccs.size(); ++e) {
+      for (std::size_t p = 0; p < spec.predictors.size(); ++p) {
+        const std::shared_ptr<const ScoreArtifact> scored = run_score(
+            spec.scenarios[s], spec.eccs[e], spec.predictors[p],
+            spec.sampling);
+        // The whole policy axis collapses to one vectorized sweep over
+        // the cached score streams.
+        std::vector<double> thresholds;
+        thresholds.reserve(spec.policies.size());
+        for (const PolicySpec& policy : spec.policies) {
+          thresholds.push_back(
+              resolve_threshold(policy, scored->tuned_threshold));
         }
-      }
-    }
-    result.stats.simulate =
-        counter_delta(before[0], cache_.counters(Stage::kSimulate));
-    result.stats.extract =
-        counter_delta(before[1], cache_.counters(Stage::kExtract));
-    result.stats.train =
-        counter_delta(before[2], cache_.counters(Stage::kTrain));
-    result.stats.score =
-        counter_delta(before[3], cache_.counters(Stage::kScore));
-  } else {
-    // Naive per-config pipeline: a fresh cache per point re-runs every
-    // stage, and the policy is evaluated by a scalar per-threshold replay.
-    for (std::size_t s = 0; s < spec.scenarios.size(); ++s) {
-      for (std::size_t e = 0; e < spec.eccs.size(); ++e) {
-        for (std::size_t p = 0; p < spec.predictors.size(); ++p) {
-          for (std::size_t q = 0; q < spec.policies.size(); ++q) {
-            StageCache local;
-            const std::shared_ptr<const ScoreArtifact> scored = run_score(
-                spec.scenarios[s], spec.eccs[e], spec.predictors[p],
-                spec.sampling, local);
-            const double threshold = resolve_threshold(
-                spec.policies[q], scored->tuned_threshold);
-            const std::size_t n = scored->test.streams();
-            std::vector<std::optional<SimTime>> alarms(n);
-            for (std::size_t i = 0; i < n; ++i) {
-              alarms[i] = scored->test.stream(i).first_alarm(threshold);
-            }
-            ++result.stats.policy_sweeps;
-            const auto ue_traces = load_ue_test_traces(*scored);
-            result.points.push_back(evaluate_policy(
-                spec, s, e, p, q, *scored, threshold, alarms, ue_traces));
-            for (std::size_t st = 0; st < kStageCount; ++st) {
-              const StageCounters& c =
-                  local.counters(static_cast<Stage>(st));
-              StageCounters& out =
-                  st == 0 ? result.stats.simulate
-                          : st == 1 ? result.stats.extract
-                                    : st == 2 ? result.stats.train
-                                              : result.stats.score;
-              out.hits += c.hits;
-              out.misses += c.misses;
-            }
-          }
+        const std::vector<std::optional<SimTime>> alarms =
+            scored->test.first_alarms(thresholds);
+        ++result.stats.policy_sweeps;
+        const auto ue_traces = load_ue_test_traces(*scored);
+        const std::size_t n = scored->test.streams();
+        for (std::size_t q = 0; q < spec.policies.size(); ++q) {
+          result.points.push_back(evaluate_policy(
+              spec, s, e, p, q, *scored, thresholds[q],
+              std::span(alarms).subspan(q * n, n), ue_traces));
         }
       }
     }
   }
+  result.stats.simulate =
+      counter_delta(before[0], cache_.counters(Stage::kSimulate));
+  result.stats.extract =
+      counter_delta(before[1], cache_.counters(Stage::kExtract));
+  result.stats.train =
+      counter_delta(before[2], cache_.counters(Stage::kTrain));
+  result.stats.score =
+      counter_delta(before[3], cache_.counters(Stage::kScore));
 
   for (const CampaignPointResult& point : result.points) {
     result.campaign_hash =

@@ -19,7 +19,8 @@
 // (SoA arrays, one pass per score artifact) instead of per-threshold
 // replays. Cached and uncached paths are byte-identical — the campaign hash
 // folds every point's result and must not depend on sharing, thread count,
-// or visit order (tests/test_campaign.cc).
+// or visit order (tests/test_campaign.cc). The split, downsampling and
+// ground-truth rule are core/protocol.h's, shared with Experiment.
 //
 // Lives in core because it stitches sim + features + ml + mlops policy
 // accounting into one driver; mlops is used header-only (MitigationPolicy,
@@ -37,6 +38,7 @@
 #include "core/evaluation.h"
 #include "core/fault_analysis.h"
 #include "core/pipeline.h"
+#include "core/protocol.h"
 #include "core/stage_cache.h"
 #include "features/windows.h"
 #include "ml/metrics.h"
@@ -93,23 +95,13 @@ struct PolicySpec {
   mlops::MitigationPolicy mitigation;
 };
 
-/// Split/downsampling parameters shared by every point (not a sweep axis).
-struct CampaignSampling {
-  double test_fraction = 0.30;
-  double validation_fraction = 0.25;
-  std::size_t max_negatives_per_dimm = 6;
-  std::size_t max_positives_per_dimm = 12;
-  double positive_weight_share = 0.25;
-  std::uint64_t seed = 13;
-};
-
 struct CampaignSpec {
   std::string name = "campaign";
   std::vector<ScenarioSpec> scenarios;
   std::vector<EccSpec> eccs;
   std::vector<PredictorSpec> predictors;
   std::vector<PolicySpec> policies;
-  CampaignSampling sampling;
+  SamplingParams sampling;  ///< shared by every point
 
   std::size_t points() const {
     return scenarios.size() * eccs.size() * predictors.size() *
@@ -148,11 +140,11 @@ struct ScoreStreamSet {
 // Results
 // ---------------------------------------------------------------------------
 
-/// One evaluated config point. `positive` ground truth at the policy level
-/// is *any* UE among evaluated test DIMMs — sudden UEs are included (class
+/// One evaluated config point, scored under GroundTruth::kAnyUe: positive
+/// is *any* UE among the evaluated test DIMMs, sudden UEs included (class
 /// kSudden, unreachable by a CE-history predictor), unlike the model-level
-/// Experiment protocol which excludes no-CE DIMMs entirely. The attribution
-/// table is what makes that legible per fault class.
+/// Experiment (kPredictableUe), which drops no-CE DIMMs entirely. The
+/// attribution table is what makes that legible per fault class.
 struct CampaignPointResult {
   std::size_t scenario = 0;
   std::size_t ecc = 0;
@@ -170,7 +162,8 @@ struct CampaignPointResult {
   std::vector<FaultClassAttribution> attribution;
 
   /// Canonical FNV-1a over every field above — the byte-identity contract
-  /// between the shared, naive, cached and re-run paths.
+  /// between shared, unshared (one engine per point), cached and re-run
+  /// sweeps.
   std::uint64_t result_hash() const;
 };
 
@@ -180,7 +173,7 @@ struct CampaignRunStats {
   StageCounters train;
   StageCounters score;
   /// Vectorized multi-threshold passes executed (one per distinct score
-  /// artifact in the shared path; one per point in the naive path).
+  /// artifact).
   std::size_t policy_sweeps = 0;
   std::size_t points = 0;
 };
@@ -204,11 +197,6 @@ struct CampaignConfig {
   /// Thread cap (0 = pool default). Results are byte-identical for every
   /// value.
   int num_threads = 0;
-  /// false = the naive per-config pipeline: every point re-runs simulate →
-  /// extract → train → score from scratch and evaluates its policy with a
-  /// scalar per-threshold replay. Same results, no sharing — the baseline
-  /// bench_campaign measures against.
-  bool share_stages = true;
   /// Keep the spilled shard directories after the engine is destroyed.
   bool keep_store = false;
 };
@@ -220,9 +208,10 @@ class CampaignEngine {
   CampaignEngine(const CampaignEngine&) = delete;
   CampaignEngine& operator=(const CampaignEngine&) = delete;
 
-  /// Runs the sweep. Deterministic in the spec for any num_threads /
-  /// share_stages; a second run on the same engine hits the cache end to
-  /// end and returns byte-identical results.
+  /// Runs the sweep. Deterministic in the spec for any num_threads, and
+  /// equal point for point to running each point in a fresh engine; a
+  /// second run on the same engine hits the cache end to end and returns
+  /// byte-identical results.
   CampaignResult run(const CampaignSpec& spec);
 
   const StageCache& cache() const { return cache_; }
@@ -233,10 +222,10 @@ class CampaignEngine {
                              const EccSpec& ecc) const;
   std::uint64_t extract_key(const ScenarioSpec& scenario, const EccSpec& ecc,
                             const PredictorSpec& predictor,
-                            const CampaignSampling& sampling) const;
+                            const SamplingParams& sampling) const;
   std::uint64_t train_key(const ScenarioSpec& scenario, const EccSpec& ecc,
                           const PredictorSpec& predictor,
-                          const CampaignSampling& sampling) const;
+                          const SamplingParams& sampling) const;
 
  private:
   struct FleetArtifact;
@@ -245,19 +234,16 @@ class CampaignEngine {
   struct ScoreArtifact;
 
   std::shared_ptr<const FleetArtifact> run_simulate(
-      const ScenarioSpec& scenario, const EccSpec& ecc, StageCache& cache);
+      const ScenarioSpec& scenario, const EccSpec& ecc);
   std::shared_ptr<const FeatureArtifact> run_extract(
       const ScenarioSpec& scenario, const EccSpec& ecc,
-      const PredictorSpec& predictor, const CampaignSampling& sampling,
-      StageCache& cache);
+      const PredictorSpec& predictor, const SamplingParams& sampling);
   std::shared_ptr<const ModelArtifact> run_train(
       const ScenarioSpec& scenario, const EccSpec& ecc,
-      const PredictorSpec& predictor, const CampaignSampling& sampling,
-      StageCache& cache);
+      const PredictorSpec& predictor, const SamplingParams& sampling);
   std::shared_ptr<const ScoreArtifact> run_score(
       const ScenarioSpec& scenario, const EccSpec& ecc,
-      const PredictorSpec& predictor, const CampaignSampling& sampling,
-      StageCache& cache);
+      const PredictorSpec& predictor, const SamplingParams& sampling);
 
   /// UE-bearing test DIMMs decoded back from the simulate shards, as
   /// (test stream index, trace) pairs — the page-offline replay input,

@@ -45,6 +45,41 @@ void fold_scores(const ml::BinaryClassifier* model, const ml::Matrix& x,
 
 }  // namespace
 
+SimulatedShard simulate_shard(std::span<const sim::PlannedDimm> jobs,
+                              const sim::ScenarioParams& params,
+                              const sim::DimmSimulator& simulator,
+                              const dram::Geometry& geometry,
+                              const std::string& path,
+                              std::uint64_t trace_hash) {
+  // Simulate into index slots, as the in-memory builder does.
+  std::vector<sim::DimmTrace> traces(jobs.size());
+  ThreadPool::global().parallel_for(
+      jobs.size(),
+      [&](std::size_t i) {
+        traces[i] =
+            sim::simulate_planned_dimm(jobs[i], params, simulator, geometry);
+      },
+      /*grain=*/1);
+
+  // Encode + spill the observed DIMMs in id order, folding the canonical
+  // trace hash as the bytes go out, and compact them to the front.
+  SimulatedShard shard;
+  shard.trace_hash = trace_hash;
+  sim::ShardWriter writer(path, params.platform, params.horizon);
+  std::size_t observed = 0;
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    if (!sim::enters_observed_dataset(jobs[i].kind, traces[i])) continue;
+    shard.trace_hash =
+        sim::fnv1a_u64(shard.trace_hash, writer.append(traces[i]));
+    if (observed != i) traces[observed] = std::move(traces[i]);
+    ++observed;
+  }
+  traces.resize(observed);
+  shard.observed = std::move(traces);
+  shard.stats = writer.finish();
+  return shard;
+}
+
 FleetDriverResult run_fleet_driver(const sim::ScenarioParams& params,
                                    const FleetDriverConfig& config,
                                    const ml::BinaryClassifier* model,
@@ -76,38 +111,21 @@ FleetDriverResult run_fleet_driver(const sim::ScenarioParams& params,
     const std::vector<sim::PlannedDimm> jobs = planner.take(end - begin);
     if (jobs.empty()) continue;
 
-    // Simulate the shard into index slots (one task per DIMM, as the
-    // in-memory builder does).
-    std::vector<sim::DimmTrace> traces(jobs.size());
-    ThreadPool::global().parallel_for(
-        jobs.size(),
-        [&](std::size_t i) {
-          traces[i] =
-              sim::simulate_planned_dimm(jobs[i], params, simulator, geometry);
-        },
-        /*grain=*/1);
-
-    // Encode + spill the observed DIMMs in id order, folding the canonical
-    // trace hash as the bytes go out.
     const std::string path = sim::shard_path(config.store_dir, s);
-    sim::ShardWriter writer(path, params.platform, params.horizon);
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-      if (!sim::enters_observed_dataset(jobs[i].kind, traces[i])) continue;
-      result.trace_hash =
-          sim::fnv1a_u64(result.trace_hash, writer.append(traces[i]));
-    }
-    const sim::ShardStats stats = writer.finish();
-    result.observed_dimms += stats.dimms;
-    result.ce_records += stats.ce_records;
-    result.mem_events += stats.mem_events;
-    result.ue_records += stats.ue_records;
-    result.suppressed_ces += stats.suppressed_ces;
-    result.encoded_bytes += stats.file_bytes;
+    SimulatedShard shard = simulate_shard(jobs, params, simulator, geometry,
+                                          path, result.trace_hash);
+    result.trace_hash = shard.trace_hash;
+    result.observed_dimms += shard.stats.dimms;
+    result.ce_records += shard.stats.ce_records;
+    result.mem_events += shard.stats.mem_events;
+    result.ue_records += shard.stats.ue_records;
+    result.suppressed_ces += shard.stats.suppressed_ces;
+    result.encoded_bytes += shard.stats.file_bytes;
 
     // Drop the simulated residents: from here on the shard is read back
     // from its encoded form, exactly as a later training run would.
-    traces.clear();
-    traces.shrink_to_fit();
+    shard.observed.clear();
+    shard.observed.shrink_to_fit();
 
     const sim::TraceReader reader(path);
     std::vector<std::vector<features::Sample>> samples(reader.dimm_count());

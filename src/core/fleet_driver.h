@@ -25,11 +25,14 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "dram/geometry.h"
 #include "features/extractor.h"
 #include "ml/model.h"
+#include "sim/dimm_sim.h"
 #include "sim/fleet.h"
 #include "sim/scenario.h"
 #include "sim/trace_store.h"
@@ -80,6 +83,26 @@ struct FleetDriverResult {
     return ce_records + mem_events + ue_records;
   }
 };
+
+/// One simulated shard, as written to its shard file.
+struct SimulatedShard {
+  /// The observed DIMMs (sim::enters_observed_dataset), in id order.
+  std::vector<sim::DimmTrace> observed;
+  sim::ShardStats stats;
+  /// The caller's running trace hash with every observed DIMM folded in.
+  std::uint64_t trace_hash = sim::kFnvOffset;
+};
+
+/// Simulates a planned shard (one pool task per DIMM) and writes its
+/// observed DIMMs to a shard file at `path` in id order, folding each
+/// DIMM's content hash into `trace_hash`. The one planner-to-shard step
+/// behind run_fleet_driver and the campaign's simulate stage.
+SimulatedShard simulate_shard(std::span<const sim::PlannedDimm> jobs,
+                              const sim::ScenarioParams& params,
+                              const sim::DimmSimulator& simulator,
+                              const dram::Geometry& geometry,
+                              const std::string& path,
+                              std::uint64_t trace_hash);
 
 /// Runs the sharded pipeline. `model` may be null to stop after extraction
 /// (simulate + encode + extract only). Deterministic in params.seed for any

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "baseline/risky_ce_pattern.h"
+#include "common/check.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "ml/ft_transformer.h"
@@ -43,6 +45,9 @@ std::unique_ptr<ml::BinaryClassifier> make_model(Algorithm algorithm) {
 
 namespace {
 
+/// The Experiment's ground-truth rule (the Table II numbers).
+constexpr GroundTruth kModelLevel = GroundTruth::kPredictableUe;
+
 features::PredictionWindows with_cadence(features::PredictionWindows windows,
                                          SimDuration cadence) {
   windows.cadence = cadence;
@@ -53,56 +58,37 @@ features::PredictionWindows with_cadence(features::PredictionWindows windows,
 
 Experiment::Experiment(const sim::FleetTrace& fleet, PipelineConfig config)
     : fleet_(&fleet),
-      config_(config),
-      train_extractor_(config.windows),
-      eval_extractor_(with_cadence(config.windows, config.eval_cadence)) {
+      config_(std::move(config)),
+      train_extractor_(config_.windows),
+      eval_extractor_(with_cadence(config_.windows, config_.eval_cadence)) {
+  // Matrix::at and project_into index rows unchecked.
+  for (const std::size_t col : config_.active_features) {
+    MEMFP_CHECK_LT(col, train_extractor_.schema().size())
+        << "active_features names a column outside the feature schema";
+  }
+
   Rng rng(config_.seed);
-
-  // Eligible DIMMs: those with CE telemetry. Sudden-UE DIMMs have no
-  // predictive data and are excluded (paper Section III).
-  std::vector<dram::DimmId> positive_ids, negative_ids;
-  std::vector<const sim::DimmTrace*> by_position;
+  std::vector<DimmFacts> facts;
+  facts.reserve(fleet.dimms.size());
   for (const sim::DimmTrace& dimm : fleet.dimms) {
-    if (dimm.ces.empty()) continue;
-    (dimm.predictable_ue() ? positive_ids : negative_ids).push_back(dimm.id);
-    by_position.push_back(&dimm);
+    facts.push_back(DimmFacts::of(dimm));
   }
-  const ml::DimmSplit split = ml::split_dimms(
-      positive_ids, negative_ids, config_.test_fraction, rng);
-
-  std::vector<bool> is_test_lookup;
-  {
-    std::vector<dram::DimmId> test_sorted = split.test;
-    std::sort(test_sorted.begin(), test_sorted.end());
-    for (const sim::DimmTrace* dimm : by_position) {
-      is_test_lookup.push_back(std::binary_search(
-          test_sorted.begin(), test_sorted.end(), dimm->id));
+  const std::vector<Role> roles =
+      assign_roles(facts, config_, kModelLevel, rng);
+  for (std::size_t i = 0; i < roles.size(); ++i) {
+    switch (roles[i]) {
+      case Role::kTrain:
+        train_dimms_.push_back(&fleet.dimms[i]);
+        break;
+      case Role::kVal:
+        val_dimms_.push_back(&fleet.dimms[i]);
+        break;
+      case Role::kTest:
+        test_dimms_.push_back(&fleet.dimms[i]);
+        break;
+      case Role::kExcluded:
+        break;
     }
-  }
-
-  // Carve the validation fold (for threshold tuning) out of the train side,
-  // stratified by class like the test split.
-  std::vector<const sim::DimmTrace*> train_all;
-  for (std::size_t i = 0; i < by_position.size(); ++i) {
-    if (is_test_lookup[i]) {
-      test_dimms_.push_back(by_position[i]);
-    } else {
-      train_all.push_back(by_position[i]);
-    }
-  }
-  std::vector<dram::DimmId> train_pos, train_neg;
-  for (const sim::DimmTrace* dimm : train_all) {
-    (dimm->predictable_ue() ? train_pos : train_neg).push_back(dimm->id);
-  }
-  const ml::DimmSplit val_split = ml::split_dimms(
-      train_pos, train_neg, config_.validation_fraction, rng);
-  std::vector<dram::DimmId> val_sorted = val_split.test;
-  std::sort(val_sorted.begin(), val_sorted.end());
-  for (const sim::DimmTrace* dimm : train_all) {
-    (std::binary_search(val_sorted.begin(), val_sorted.end(), dimm->id)
-         ? val_dimms_
-         : train_dimms_)
-        .push_back(dimm);
   }
 
   // Build the training set: extract per DIMM in parallel blocks, then
@@ -110,9 +96,8 @@ Experiment::Experiment(const sim::FleetTrace& fleet, PipelineConfig config)
   // parallel fan-out cannot disturb sample_rng's draw sequence and the
   // training set stays byte-identical at any thread count; block-at-a-time
   // keeps peak memory at one block of undownsampled DIMMs.
-  features::SampleSet set;
-  set.schema = train_extractor_.schema();
   Rng sample_rng = rng.fork();
+  TrainingSetBuilder builder(train_extractor_.schema(), config_, sample_rng);
   {
     ThreadPool::ScopedLimit limit(config_.num_threads);
     constexpr std::size_t kExtractBlock = 32;
@@ -130,29 +115,12 @@ Experiment::Experiment(const sim::FleetTrace& fleet, PipelineConfig config)
           },
           /*grain=*/1);
       for (std::size_t i = 0; i < count; ++i) {
-        std::vector<features::Sample> samples = std::move(block[i]);
+        builder.add_dimm(std::move(block[i]));
         block[i].clear();
-        // Per-DIMM downsampling before pooling keeps memory flat.
-        std::vector<features::Sample> positives, negatives;
-        for (features::Sample& sample : samples) {
-          if (sample.label == 1) positives.push_back(std::move(sample));
-          else if (sample.label == 0) negatives.push_back(std::move(sample));
-        }
-        if (negatives.size() > config_.max_negatives_per_dimm) {
-          sample_rng.shuffle(negatives);
-          negatives.resize(config_.max_negatives_per_dimm);
-        }
-        if (positives.size() > config_.max_positives_per_dimm) {
-          positives.erase(positives.begin(),
-                          positives.end() - static_cast<std::ptrdiff_t>(
-                                                config_.max_positives_per_dimm));
-        }
-        for (auto& sample : negatives) set.samples.push_back(std::move(sample));
-        for (auto& sample : positives) set.samples.push_back(std::move(sample));
       }
     }
   }
-  train_set_ = ml::make_dataset(set);
+  train_set_ = builder.finish();
   if (!config_.active_features.empty()) {
     // Ablation: project the training matrix onto the active columns.
     ml::Dataset projected;
@@ -178,7 +146,6 @@ Experiment::Experiment(const sim::FleetTrace& fleet, PipelineConfig config)
     }
     train_set_ = std::move(projected);
   }
-  ml::rebalance_weights(train_set_, config_.positive_weight_share);
 
   MEMFP_INFO << "experiment " << dram::platform_name(fleet.platform) << ": "
              << train_dimms_.size() << " train / " << val_dimms_.size()
@@ -237,11 +204,8 @@ void Experiment::score_dimms(const ml::BinaryClassifier& model,
             dimm_labels[d].push_back(samples[i].label);
           }
         }
-        AlarmOutcome outcome;
-        outcome.positive = dimm->predictable_ue();
-        outcome.ue_time = dimm->ue ? dimm->ue->time : 0;
         streams[d] = std::move(stream);
-        outcomes[d] = outcome;
+        outcomes[d] = ground_truth(DimmFacts::of(*dimm), kModelLevel);
       },
       /*grain=*/1);
 
@@ -317,9 +281,7 @@ Experiment::Result Experiment::run_risky_baseline() {
 
   std::vector<AlarmOutcome> outcomes;
   for (const sim::DimmTrace* dimm : test_dimms_) {
-    AlarmOutcome outcome;
-    outcome.positive = dimm->predictable_ue();
-    outcome.ue_time = dimm->ue ? dimm->ue->time : 0;
+    AlarmOutcome outcome = ground_truth(DimmFacts::of(*dimm), kModelLevel);
     outcome.alarm = baseline.first_alarm(*dimm);
     outcomes.push_back(outcome);
   }

@@ -1,6 +1,8 @@
 // End-to-end prediction pipeline (paper Section VI): fleet telemetry ->
 // samples -> per-DIMM split -> model training -> threshold tuning on a
-// validation fold -> DIMM-level alarm evaluation on held-out DIMMs.
+// validation fold -> DIMM-level alarm evaluation on held-out DIMMs. The
+// split, downsampling and ground truth come from core/protocol.h; the
+// Experiment applies its model-level rule, GroundTruth::kPredictableUe.
 //
 // The pipeline never materializes the full fleet sample set: training rows
 // are downsampled per DIMM as they are extracted, and evaluation streams one
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "core/evaluation.h"
+#include "core/protocol.h"
 #include "features/extractor.h"
 #include "ml/model.h"
 #include "sim/trace.h"
@@ -26,16 +29,13 @@ const char* algorithm_name(Algorithm algorithm);
 /// handled by the pipeline itself; requesting it here throws).
 std::unique_ptr<ml::BinaryClassifier> make_model(Algorithm algorithm);
 
-struct PipelineConfig {
+/// Experiment configuration: the shared split/downsampling parameters plus
+/// the model-level knobs.
+struct PipelineConfig : SamplingParams {
   features::PredictionWindows windows;      ///< training cadence = 1 day
   SimDuration eval_cadence = days(2);       ///< scoring cadence on val/test
-  double test_fraction = 0.30;
-  double validation_fraction = 0.25;        ///< of train DIMMs, for threshold
-  std::size_t max_negatives_per_dimm = 6;
-  std::size_t max_positives_per_dimm = 12;
-  double positive_weight_share = 0.25;
-  std::uint64_t seed = 13;
   /// Optional feature-column restriction (ablations); empty = all features.
+  /// Every column must index the feature schema (checked at construction).
   std::vector<std::size_t> active_features;
   /// Parallelism cap for this experiment's simulation/training/scoring hot
   /// paths: 0 = the pool default (MEMFP_THREADS env var, else
@@ -44,7 +44,7 @@ struct PipelineConfig {
   int num_threads = 0;
 };
 
-/// A fleet prepared for experiments: split decided, training set built.
+/// A fleet prepared for experiments: roles assigned, training set built.
 class Experiment {
  public:
   Experiment(const sim::FleetTrace& fleet, PipelineConfig config);

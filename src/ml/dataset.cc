@@ -1,7 +1,8 @@
 #include "ml/dataset.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <map>
+#include <utility>
 
 #include "common/check.h"
 
@@ -75,42 +76,22 @@ DimmSplit split_dimms(const std::vector<dram::DimmId>& positive_dimms,
 
 Dataset downsample(const Dataset& dataset, std::size_t max_negatives_per_dimm,
                    std::size_t max_positives_per_dimm, Rng& rng) {
-  // Bucket row indices per (dimm, class).
-  std::unordered_map<dram::DimmId, std::vector<std::size_t>> neg, pos;
+  // Ordered by DIMM id, never hash order: each over-cap DIMM consumes rng
+  // draws, so the visit order decides which rows every DIMM keeps.
+  std::map<dram::DimmId, std::pair<std::vector<std::size_t>,
+                                   std::vector<std::size_t>>>
+      rows;  // dimm -> (negative rows, positive rows)
   for (std::size_t r = 0; r < dataset.size(); ++r) {
-    (dataset.y[r] == 1 ? pos : neg)[dataset.dimm[r]].push_back(r);
+    auto& [neg, pos] = rows[dataset.dimm[r]];
+    (dataset.y[r] == 1 ? pos : neg).push_back(r);
   }
-  // Visit buckets in ascending DIMM id, never in hash order: each negative
-  // bucket consumes rng draws, so the visit order decides which rows every
-  // bucket keeps — hash order would tie the training set to the standard
-  // library's bucket layout.
-  std::vector<dram::DimmId> neg_ids, pos_ids;
-  neg_ids.reserve(neg.size());
-  pos_ids.reserve(pos.size());
-  // memfp-lint: allow(unordered-iter): keys sorted immediately below
-  for (const auto& [id, rows] : neg) neg_ids.push_back(id);
-  // memfp-lint: allow(unordered-iter): keys sorted immediately below
-  for (const auto& [id, rows] : pos) pos_ids.push_back(id);
-  std::sort(neg_ids.begin(), neg_ids.end());
-  std::sort(pos_ids.begin(), pos_ids.end());
   std::vector<std::size_t> keep;
-  for (dram::DimmId id : neg_ids) {
-    std::vector<std::size_t>& rows = neg[id];
-    if (rows.size() > max_negatives_per_dimm) {
-      rng.shuffle(rows);
-      rows.resize(max_negatives_per_dimm);
-    }
-    keep.insert(keep.end(), rows.begin(), rows.end());
-  }
-  for (dram::DimmId id : pos_ids) {
-    std::vector<std::size_t>& rows = pos[id];
-    // Keep the latest positive samples: closest to the failure, strongest
-    // signal, and they bound the lead time the model actually learns.
-    if (rows.size() > max_positives_per_dimm) {
-      rows.erase(rows.begin(),
-                 rows.end() - static_cast<std::ptrdiff_t>(max_positives_per_dimm));
-    }
-    keep.insert(keep.end(), rows.begin(), rows.end());
+  for (auto& [id, dimm_rows] : rows) {
+    auto& [neg, pos] = dimm_rows;
+    downsample_dimm(neg, pos, max_negatives_per_dimm, max_positives_per_dimm,
+                    rng);
+    keep.insert(keep.end(), neg.begin(), neg.end());
+    keep.insert(keep.end(), pos.begin(), pos.end());
   }
   std::sort(keep.begin(), keep.end());
   return dataset.select(keep);

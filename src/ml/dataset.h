@@ -4,6 +4,7 @@
 // failure prediction literature does).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -81,9 +82,28 @@ DimmSplit split_dimms(const std::vector<dram::DimmId>& positive_dimms,
                       const std::vector<dram::DimmId>& negative_dimms,
                       double test_fraction, Rng& rng);
 
-/// Downsamples negative rows to `max_negatives_per_dimm` (uniformly chosen
-/// per DIMM) and keeps up to `max_positives_per_dimm` positive rows per DIMM
-/// (the latest ones, which carry the most pre-failure signal).
+/// Per-DIMM downsampling, the one rule every training set applies to one
+/// DIMM's rows: a uniform random `max_negatives` of its negatives (one
+/// shuffle drawn from `rng`, only when over the cap) and its latest
+/// `max_positives` positives (rows arrive in time order; no draw). The
+/// latest positives sit closest to the failure: strongest signal, and they
+/// bound the lead time the model actually learns.
+template <typename Row>
+void downsample_dimm(std::vector<Row>& negatives, std::vector<Row>& positives,
+                     std::size_t max_negatives, std::size_t max_positives,
+                     Rng& rng) {
+  if (negatives.size() > max_negatives) {
+    rng.shuffle(negatives);
+    negatives.resize(max_negatives);
+  }
+  if (positives.size() > max_positives) {
+    positives.erase(positives.begin(),
+                    positives.end() - static_cast<std::ptrdiff_t>(max_positives));
+  }
+}
+
+/// downsample_dimm over every DIMM of a pooled dataset, in ascending DIMM
+/// id; kept rows stay in their original order.
 Dataset downsample(const Dataset& dataset, std::size_t max_negatives_per_dimm,
                    std::size_t max_positives_per_dimm, Rng& rng);
 

@@ -1,7 +1,7 @@
 // Campaign engine contracts (src/core/campaign.h):
-//  - shared (work-sharing) and naive per-config sweeps are byte-identical,
-//    at any thread count (suite name carries "Determinism" for the TSan leg
-//    of tools/check.sh);
+//  - a shared (work-sharing) sweep is byte-identical to the naive one that
+//    runs every point in a fresh engine, at any thread count (suite name
+//    carries "Determinism" for the TSan leg of tools/check.sh);
 //  - the content-addressed stage cache shares exactly the artifacts whose
 //    key axes agree, and perturbing one sweep axis re-executes only the
 //    stages downstream of it (hit/miss counters per stage);
@@ -17,6 +17,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/stage_cache.h"
@@ -37,7 +38,7 @@ std::string temp_store(const std::string& leaf) {
 }
 
 /// Small sweep: 1 scenario x 2 ECC x 1 predictor x 3 policies = 6 points,
-/// sized so the naive path stays fast while every axis is non-trivial.
+/// sized so the naive oracle stays fast while every axis is non-trivial.
 CampaignSpec small_spec() {
   CampaignSpec spec;
   spec.name = "test-sweep";
@@ -85,6 +86,50 @@ CampaignSpec point_spec() {
   spec.predictors.resize(1);
   spec.policies.resize(1);
   return spec;
+}
+
+/// Naive oracle: every point of `spec` in a fresh engine of its own, so no
+/// stage is shared, with the point's sweep indices written back and the
+/// per-engine stage counters summed.
+CampaignResult run_naive(const CampaignSpec& spec,
+                            const std::string& store) {
+  CampaignResult out;
+  out.stats.points = spec.points();
+  const auto add = [](StageCounters& to, const StageCounters& from) {
+    to.hits += from.hits;
+    to.misses += from.misses;
+  };
+  for (std::size_t s = 0; s < spec.scenarios.size(); ++s) {
+    for (std::size_t e = 0; e < spec.eccs.size(); ++e) {
+      for (std::size_t p = 0; p < spec.predictors.size(); ++p) {
+        for (std::size_t q = 0; q < spec.policies.size(); ++q) {
+          CampaignSpec one = spec;
+          one.scenarios = {spec.scenarios[s]};
+          one.eccs = {spec.eccs[e]};
+          one.predictors = {spec.predictors[p]};
+          one.policies = {spec.policies[q]};
+          CampaignConfig config;
+          config.store_dir = store;
+          CampaignEngine engine(config);
+          const CampaignResult run = engine.run(one);
+          CampaignPointResult point = run.points.front();
+          point.scenario = s;
+          point.ecc = e;
+          point.predictor = p;
+          point.policy = q;
+          out.campaign_hash =
+              sim::fnv1a_u64(out.campaign_hash, point.result_hash());
+          out.points.push_back(std::move(point));
+          add(out.stats.simulate, run.stats.simulate);
+          add(out.stats.extract, run.stats.extract);
+          add(out.stats.train, run.stats.train);
+          add(out.stats.score, run.stats.score);
+          out.stats.policy_sweeps += run.stats.policy_sweeps;
+        }
+      }
+    }
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -243,14 +288,14 @@ TEST(CampaignDeterminism, SharedMatchesNaiveAcrossThreads) {
     }
   }
 
-  // The naive per-config pipeline recomputes everything and replays the
-  // policy axis scalar-wise — byte-identical results, none of the sharing.
-  CampaignConfig naive_config;
-  naive_config.store_dir = store;
-  naive_config.share_stages = false;
-  CampaignEngine naive(naive_config);
-  const CampaignResult naive_run = naive.run(spec);
+  // The naive oracle recomputes every stage for every point — byte-identical
+  // results, none of the sharing.
+  const CampaignResult naive_run = run_naive(spec, store);
   EXPECT_EQ(naive_run.campaign_hash, reference->campaign_hash);
+  for (std::size_t i = 0; i < naive_run.points.size(); ++i) {
+    EXPECT_EQ(naive_run.points[i].result_hash(),
+              reference->points[i].result_hash());
+  }
 
   // Work accounting. Shared: one pipeline per distinct (scenario, ECC,
   // predictor) triple, one vectorized sweep each. Naive: one per point.
@@ -383,7 +428,7 @@ TEST(CampaignCache, StageKeysExposeSharingStructure) {
   const ScenarioSpec& sc = base.scenarios[0];
   const EccSpec& ecc = base.eccs[0];
   const PredictorSpec& pred = base.predictors[0];
-  const CampaignSampling& sampling = base.sampling;
+  const SamplingParams& sampling = base.sampling;
 
   // Algorithm and train seed are invisible to simulate/extract keys.
   PredictorSpec other_algo = pred;
@@ -407,7 +452,7 @@ TEST(CampaignCache, StageKeysExposeSharingStructure) {
   EXPECT_NE(engine.simulate_key(sc, ecc), engine.simulate_key(sc, other_bmc));
 
   // Sampling perturbs extract but not simulate.
-  CampaignSampling other_sampling = sampling;
+  SamplingParams other_sampling = sampling;
   other_sampling.seed = 77;
   EXPECT_NE(engine.extract_key(sc, ecc, pred, sampling),
             engine.extract_key(sc, ecc, pred, other_sampling));

@@ -99,6 +99,14 @@ TEST(Pipeline, AblationRestrictsFeatures) {
   EXPECT_TRUE(result.applicable);  // runs end-to-end on the projected space
 }
 
+TEST(PipelineDeathTest, ActiveFeatureOutsideSchemaAborts) {
+  PipelineConfig config;
+  config.active_features = {0, features::FeatureSchema::standard().size()};
+  // Checked before any DIMM is touched, so an empty fleet suffices.
+  const sim::FleetTrace fleet;
+  EXPECT_DEATH({ Experiment experiment(fleet, config); }, "active_features");
+}
+
 TEST(Pipeline, RunWithModelHandsBackFittedModel) {
   PipelineConfig config;
   Experiment experiment(small_fleet(), config);

@@ -121,9 +121,10 @@ run_bench() {
   # store-backed sweeps and both storm admission runs) at toy scale.
   cmake --build "$dir" -j "$JOBS" --target bench_serving
   MEMFP_BENCH_SCALE=0.02 "$dir/bench/bench_serving" > /dev/null
-  # Campaign smoke: the full 48-point sweep shared and naive at toy scale —
-  # the bench aborts if the two campaign hashes diverge, so this doubles as
-  # a byte-identity check on the stage cache.
+  # Campaign smoke: the full 48-point sweep at toy scale, shared through one
+  # engine and naive with one fresh engine per point — the bench aborts if
+  # the two campaign hashes diverge, so this doubles as a byte-identity
+  # check on the stage cache.
   cmake --build "$dir" -j "$JOBS" --target bench_campaign
   MEMFP_BENCH_SCALE=0.05 "$dir/bench/bench_campaign" > /dev/null
 }
