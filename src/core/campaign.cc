@@ -405,18 +405,11 @@ CampaignEngine::run_extract(const ScenarioSpec& scenario, const EccSpec& ecc,
           artifact->feature_hash =
               fold_sample_hash(artifact->feature_hash, sample);
         }
-        switch (roles[g]) {
-          case Role::kTrain:
-            train_set.add_dimm(std::move(samples));
-            break;
-          case Role::kVal:
-            append_eval(artifact->val, g, samples);
-            break;
-          case Role::kTest:
-            append_eval(artifact->test, g, samples);
-            break;
-          case Role::kExcluded:  // not produced under kPolicyLevel
-            break;
+        if (roles[g] == Role::kTrain) {
+          train_set.add_dimm(std::move(samples));
+        } else {  // kPolicyLevel excludes no DIMM
+          append_eval(roles[g] == Role::kVal ? artifact->val : artifact->test,
+                      g, samples);
         }
       }
       base += count;

@@ -214,8 +214,6 @@ class CampaignEngine {
   /// byte-identical results.
   CampaignResult run(const CampaignSpec& spec);
 
-  const StageCache& cache() const { return cache_; }
-
   /// Stage keys exposed for the perturbation tests: which artifacts two
   /// specs share is exactly which keys collide.
   std::uint64_t simulate_key(const ScenarioSpec& scenario,

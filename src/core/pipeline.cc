@@ -61,7 +61,7 @@ Experiment::Experiment(const sim::FleetTrace& fleet, PipelineConfig config)
       config_(std::move(config)),
       train_extractor_(config_.windows),
       eval_extractor_(with_cadence(config_.windows, config_.eval_cadence)) {
-  // Matrix::at and project_into index rows unchecked.
+  // project() indexes feature rows unchecked.
   for (const std::size_t col : config_.active_features) {
     MEMFP_CHECK_LT(col, train_extractor_.schema().size())
         << "active_features names a column outside the feature schema";
@@ -76,28 +76,22 @@ Experiment::Experiment(const sim::FleetTrace& fleet, PipelineConfig config)
   const std::vector<Role> roles =
       assign_roles(facts, config_, kModelLevel, rng);
   for (std::size_t i = 0; i < roles.size(); ++i) {
-    switch (roles[i]) {
-      case Role::kTrain:
-        train_dimms_.push_back(&fleet.dimms[i]);
-        break;
-      case Role::kVal:
-        val_dimms_.push_back(&fleet.dimms[i]);
-        break;
-      case Role::kTest:
-        test_dimms_.push_back(&fleet.dimms[i]);
-        break;
-      case Role::kExcluded:
-        break;
-    }
+    if (roles[i] == Role::kTrain) train_dimms_.push_back(&fleet.dimms[i]);
+    if (roles[i] == Role::kVal) val_dimms_.push_back(&fleet.dimms[i]);
+    if (roles[i] == Role::kTest) test_dimms_.push_back(&fleet.dimms[i]);
   }
 
-  // Build the training set: extract per DIMM in parallel blocks, then
-  // downsample serially in DIMM order. Extraction draws no RNG, so the
-  // parallel fan-out cannot disturb sample_rng's draw sequence and the
-  // training set stays byte-identical at any thread count; block-at-a-time
-  // keeps peak memory at one block of undownsampled DIMMs.
+  // Build the training set: extract (and project) per DIMM in parallel
+  // blocks, then downsample serially in DIMM order. Extraction draws no
+  // RNG, so the parallel fan-out cannot disturb sample_rng's draw sequence
+  // and the training set stays byte-identical at any thread count;
+  // block-at-a-time keeps peak memory at one block of undownsampled DIMMs.
   Rng sample_rng = rng.fork();
-  TrainingSetBuilder builder(train_extractor_.schema(), config_, sample_rng);
+  const features::FeatureSchema& schema = train_extractor_.schema();
+  TrainingSetBuilder builder(
+      config_.active_features.empty() ? schema
+                                       : schema.subset(config_.active_features),
+      config_, sample_rng);
   {
     ThreadPool::ScopedLimit limit(config_.num_threads);
     constexpr std::size_t kExtractBlock = 32;
@@ -112,6 +106,7 @@ Experiment::Experiment(const sim::FleetTrace& fleet, PipelineConfig config)
             block[i] =
                 train_extractor_.extract(*train_dimms_[begin + i],
                                          fleet.horizon);
+            project(block[i]);
           },
           /*grain=*/1);
       for (std::size_t i = 0; i < count; ++i) {
@@ -121,31 +116,6 @@ Experiment::Experiment(const sim::FleetTrace& fleet, PipelineConfig config)
     }
   }
   train_set_ = builder.finish();
-  if (!config_.active_features.empty()) {
-    // Ablation: project the training matrix onto the active columns.
-    ml::Dataset projected;
-    projected.y = train_set_.y;
-    projected.weight = train_set_.weight;
-    projected.dimm = train_set_.dimm;
-    projected.time = train_set_.time;
-    for (std::size_t i = 0; i < config_.active_features.size(); ++i) {
-      const std::size_t col = config_.active_features[i];
-      if (std::find(train_set_.categorical.begin(),
-                    train_set_.categorical.end(),
-                    col) != train_set_.categorical.end()) {
-        projected.categorical.push_back(i);
-      }
-    }
-    for (std::size_t r = 0; r < train_set_.size(); ++r) {
-      std::vector<float> row;
-      row.reserve(config_.active_features.size());
-      for (std::size_t col : config_.active_features) {
-        row.push_back(train_set_.x.at(r, col));
-      }
-      projected.x.push_row(row);
-    }
-    train_set_ = std::move(projected);
-  }
 
   MEMFP_INFO << "experiment " << dram::platform_name(fleet.platform) << ": "
              << train_dimms_.size() << " train / " << val_dimms_.size()
@@ -154,11 +124,16 @@ Experiment::Experiment(const sim::FleetTrace& fleet, PipelineConfig config)
              << train_set_.positives() << " positive)";
 }
 
-void Experiment::project_into(std::span<const float> features,
-                              std::vector<float>& out) const {
-  out.clear();
-  out.reserve(config_.active_features.size());
-  for (std::size_t col : config_.active_features) out.push_back(features[col]);
+void Experiment::project(std::vector<features::Sample>& samples) const {
+  if (config_.active_features.empty()) return;
+  std::vector<float> row;
+  for (features::Sample& sample : samples) {
+    row.clear();
+    for (std::size_t col : config_.active_features) {
+      row.push_back(sample.features[col]);
+    }
+    sample.features.assign(row.begin(), row.end());
+  }
 }
 
 void Experiment::score_dimms(const ml::BinaryClassifier& model,
@@ -178,20 +153,14 @@ void Experiment::score_dimms(const ml::BinaryClassifier& model,
       dimms.size(),
       [&](std::size_t d) {
         const sim::DimmTrace* dimm = dimms[d];
-        const std::vector<features::Sample> samples =
+        std::vector<features::Sample> samples =
             eval_extractor_.extract(*dimm, fleet_->horizon);
+        project(samples);
         ScoredStream stream;
         ml::Matrix x;
-        std::vector<float> projected;  // reused scratch; only for ablations
-        const bool project = !config_.active_features.empty();
         for (const features::Sample& sample : samples) {
           stream.times.push_back(sample.time);
-          if (project) {
-            project_into(sample.features, projected);
-            x.push_row(projected);
-          } else {
-            x.push_row(sample.features);
-          }
+          x.push_row(sample.features);
         }
         // predict_batch dispatches to the flat batched engine for the tree
         // ensembles (FlatEnsemble) — same scores, one pass over x.

@@ -91,11 +91,9 @@ class Experiment {
  private:
   Result run_risky_baseline();
 
-  /// Ablation projection of one feature row into a caller-owned scratch
-  /// buffer (no per-row allocation); no-op copy avoided entirely by
-  /// score_dimms when no column restriction is active.
-  void project_into(std::span<const float> features,
-                    std::vector<float>& out) const;
+  /// Ablation: restricts every sample's features to the active columns, in
+  /// place; a no-op when no column restriction is active.
+  void project(std::vector<features::Sample>& samples) const;
 
   const sim::FleetTrace* fleet_;
   PipelineConfig config_;

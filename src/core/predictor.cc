@@ -21,14 +21,10 @@ void MemoryFailurePredictor::train(const sim::FleetTrace& fleet) {
   // Reuse the experiment pipeline with a zero test fraction: everything goes
   // into training + the threshold-tuning validation fold.
   PipelineConfig config;
+  static_cast<SamplingParams&>(config) = options_.sampling;
+  config.test_fraction = 0.0;
   config.windows = options_.windows;
   config.eval_cadence = options_.eval_cadence;
-  config.test_fraction = 0.0;
-  config.validation_fraction = options_.validation_fraction;
-  config.max_negatives_per_dimm = options_.max_negatives_per_dimm;
-  config.max_positives_per_dimm = options_.max_positives_per_dimm;
-  config.positive_weight_share = options_.positive_weight_share;
-  config.seed = options_.seed;
 
   Experiment experiment(fleet, config);
   auto [result, model] = experiment.run_with_model(options_.algorithm);

@@ -21,11 +21,9 @@ class MemoryFailurePredictor {
     Algorithm algorithm = Algorithm::kLightGbm;
     features::PredictionWindows windows;
     SimDuration eval_cadence = days(2);
-    double validation_fraction = 0.2;
-    std::size_t max_negatives_per_dimm = 6;
-    std::size_t max_positives_per_dimm = 12;
-    double positive_weight_share = 0.25;
-    std::uint64_t seed = 17;
+    /// Split/downsampling. test_fraction is ignored: every DIMM trains or
+    /// validates the threshold.
+    SamplingParams sampling{.validation_fraction = 0.2, .seed = 17};
   };
 
   explicit MemoryFailurePredictor(dram::Platform platform);

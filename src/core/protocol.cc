@@ -1,6 +1,7 @@
 #include "core/protocol.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 
 namespace memfp::core {
@@ -70,8 +71,19 @@ void TrainingSetBuilder::add_dimm(std::vector<features::Sample> samples) {
     if (sample.label == 1) positives.push_back(std::move(sample));
     else if (sample.label == 0) negatives.push_back(std::move(sample));
   }
-  ml::downsample_dimm(negatives, positives, sampling_.max_negatives_per_dimm,
-                      sampling_.max_positives_per_dimm, rng_);
+  // Negatives: a uniform random subset, one shuffle drawn only when over
+  // the cap. Positives: the latest ones (samples arrive in time order; no
+  // draw) — closest to the failure, strongest signal, and they bound the
+  // lead time the model actually learns.
+  if (negatives.size() > sampling_.max_negatives_per_dimm) {
+    rng_.shuffle(negatives);
+    negatives.resize(sampling_.max_negatives_per_dimm);
+  }
+  if (positives.size() > sampling_.max_positives_per_dimm) {
+    positives.erase(positives.begin(),
+                    positives.end() - static_cast<std::ptrdiff_t>(
+                                          sampling_.max_positives_per_dimm));
+  }
   for (features::Sample& sample : negatives) {
     pooled_.samples.push_back(std::move(sample));
   }

@@ -1,9 +1,9 @@
-// The evaluation protocol (paper Section VI), in one place: a per-DIMM
-// train/validation/test split, per-DIMM downsampling, class rebalancing, F1
-// threshold tuning on the validation fold, and DIMM-level alarm scoring.
-// Experiment (model level, Table II) and CampaignEngine (policy level) are
-// its two callers; they differ only in the named GroundTruth rule they pass
-// and in how they seed their RNG streams.
+// The evaluation protocol (paper Section VI): the per-DIMM train/validation/
+// test split, per-DIMM downsampling, class rebalancing, and the named
+// ground-truth rule that F1 threshold tuning and DIMM-level alarm scoring
+// (core/evaluation.h) are fed with. Experiment (model level, Table II) and
+// CampaignEngine (policy level) are its two callers; they differ only in the
+// GroundTruth they pass and in how they seed their RNG streams.
 #pragma once
 
 #include <cstdint>
@@ -66,8 +66,10 @@ std::vector<Role> assign_roles(std::span<const DimmFacts> dimms,
                                GroundTruth truth, Rng& rng);
 
 /// Builds the training set: add_dimm() downsamples one training DIMM's
-/// samples per DIMM and pools them (call it in DIMM order; it draws from
-/// the caller's `rng`), finish() builds the dataset and rebalances classes.
+/// trainable samples (at most max_negatives_per_dimm random negatives, the
+/// latest max_positives_per_dimm positives) and pools them; call it in DIMM
+/// order, since it draws from the caller's `rng`. finish() builds the
+/// dataset and rebalances the classes.
 class TrainingSetBuilder {
  public:
   TrainingSetBuilder(features::FeatureSchema schema,

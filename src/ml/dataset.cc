@@ -1,9 +1,5 @@
 #include "ml/dataset.h"
 
-#include <algorithm>
-#include <map>
-#include <utility>
-
 #include "common/check.h"
 
 namespace memfp::ml {
@@ -72,29 +68,6 @@ DimmSplit split_dimms(const std::vector<dram::DimmId>& positive_dimms,
   assign(positive_dimms);
   assign(negative_dimms);
   return split;
-}
-
-Dataset downsample(const Dataset& dataset, std::size_t max_negatives_per_dimm,
-                   std::size_t max_positives_per_dimm, Rng& rng) {
-  // Ordered by DIMM id, never hash order: each over-cap DIMM consumes rng
-  // draws, so the visit order decides which rows every DIMM keeps.
-  std::map<dram::DimmId, std::pair<std::vector<std::size_t>,
-                                   std::vector<std::size_t>>>
-      rows;  // dimm -> (negative rows, positive rows)
-  for (std::size_t r = 0; r < dataset.size(); ++r) {
-    auto& [neg, pos] = rows[dataset.dimm[r]];
-    (dataset.y[r] == 1 ? pos : neg).push_back(r);
-  }
-  std::vector<std::size_t> keep;
-  for (auto& [id, dimm_rows] : rows) {
-    auto& [neg, pos] = dimm_rows;
-    downsample_dimm(neg, pos, max_negatives_per_dimm, max_positives_per_dimm,
-                    rng);
-    keep.insert(keep.end(), neg.begin(), neg.end());
-    keep.insert(keep.end(), pos.begin(), pos.end());
-  }
-  std::sort(keep.begin(), keep.end());
-  return dataset.select(keep);
 }
 
 void rebalance_weights(Dataset& dataset, double positive_share) {

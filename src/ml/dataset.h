@@ -1,10 +1,8 @@
-// Tabular dataset container and the split/resampling utilities used by the
+// Tabular dataset container and the split/rebalancing utilities used by the
 // prediction pipeline (split by DIMM, never by sample, so no DIMM leaks
-// across train/test; negatives are downsampled per DIMM the way the memory
-// failure prediction literature does).
+// across train/test). Per-DIMM downsampling is core/protocol.h's.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -81,31 +79,6 @@ struct DimmSplit {
 DimmSplit split_dimms(const std::vector<dram::DimmId>& positive_dimms,
                       const std::vector<dram::DimmId>& negative_dimms,
                       double test_fraction, Rng& rng);
-
-/// Per-DIMM downsampling, the one rule every training set applies to one
-/// DIMM's rows: a uniform random `max_negatives` of its negatives (one
-/// shuffle drawn from `rng`, only when over the cap) and its latest
-/// `max_positives` positives (rows arrive in time order; no draw). The
-/// latest positives sit closest to the failure: strongest signal, and they
-/// bound the lead time the model actually learns.
-template <typename Row>
-void downsample_dimm(std::vector<Row>& negatives, std::vector<Row>& positives,
-                     std::size_t max_negatives, std::size_t max_positives,
-                     Rng& rng) {
-  if (negatives.size() > max_negatives) {
-    rng.shuffle(negatives);
-    negatives.resize(max_negatives);
-  }
-  if (positives.size() > max_positives) {
-    positives.erase(positives.begin(),
-                    positives.end() - static_cast<std::ptrdiff_t>(max_positives));
-  }
-}
-
-/// downsample_dimm over every DIMM of a pooled dataset, in ascending DIMM
-/// id; kept rows stay in their original order.
-Dataset downsample(const Dataset& dataset, std::size_t max_negatives_per_dimm,
-                   std::size_t max_positives_per_dimm, Rng& rng);
 
 /// Sets per-sample weights so the positive class carries `positive_share`
 /// of the total weight (class re-balancing for the imbalanced UE task).

@@ -1,5 +1,8 @@
 #include "mlops/alarm.h"
 
+#include "core/evaluation.h"
+#include "core/protocol.h"
+
 namespace memfp::mlops {
 
 void AlarmSystem::raise(dram::DimmId dimm, SimTime time, double score) {
@@ -20,24 +23,15 @@ MitigationReport account_mitigations(
     const sim::FleetTrace& fleet, const AlarmSystem& alarms,
     const features::PredictionWindows& windows,
     const MitigationPolicy& policy) {
-  std::size_t tp = 0, fp = 0, fn = 0;
+  std::vector<core::AlarmOutcome> outcomes;
+  outcomes.reserve(fleet.dimms.size());
   for (const sim::DimmTrace& dimm : fleet.dimms) {
-    const std::optional<SimTime> alarm = alarms.first_alarm(dimm.id);
-    if (dimm.predictable_ue()) {
-      const SimTime ue = dimm.ue->time;
-      const bool timely = alarm && ue - *alarm >= windows.lead &&
-                          ue - *alarm <= windows.lead + windows.prediction;
-      if (timely) {
-        ++tp;
-      } else {
-        ++fn;
-        if (alarm) ++fp;  // migration spent for nothing
-      }
-    } else if (alarm) {
-      ++fp;
-    }
+    outcomes.push_back(core::ground_truth(core::DimmFacts::of(dimm),
+                                          core::GroundTruth::kPredictableUe));
+    outcomes.back().alarm = alarms.first_alarm(dimm.id);
   }
-  return account_confusion(tp, fp, fn, policy);
+  const ml::Confusion c = core::dimm_confusion(outcomes, windows);
+  return account_confusion(c.tp, c.fp, c.fn, policy);
 }
 
 }  // namespace memfp::mlops

@@ -1,6 +1,8 @@
 #include "mlops/online_service.h"
 
 #include "common/logging.h"
+#include "core/evaluation.h"
+#include "core/protocol.h"
 #include "ml/serialize.h"
 
 namespace memfp::mlops {
@@ -48,20 +50,15 @@ ServingStats OnlinePredictionService::run_over(const sim::FleetTrace& fleet,
 
 void OnlinePredictionService::apply_feedback(const sim::FleetTrace& fleet) {
   for (const sim::DimmTrace& dimm : fleet.dimms) {
-    const std::optional<SimTime> alarm = alarms_->first_alarm(dimm.id);
-    if (dimm.predictable_ue()) {
-      const SimTime ue = dimm.ue->time;
-      const bool timely = alarm && ue - *alarm >= windows_.lead &&
-                          ue - *alarm <= windows_.lead + windows_.prediction;
-      if (timely) {
-        monitoring_->record_alarm_feedback(true);
-      } else {
-        monitoring_->record_missed_failure();
-        if (alarm) monitoring_->record_alarm_feedback(false);
-      }
-    } else if (alarm) {
-      monitoring_->record_alarm_feedback(false);
-    }
+    core::AlarmOutcome outcome = core::ground_truth(
+        core::DimmFacts::of(dimm), core::GroundTruth::kPredictableUe);
+    outcome.alarm = alarms_->first_alarm(dimm.id);
+    // One DIMM's confusion: a late or early alarm on a failing DIMM is both
+    // a missed failure and a false alarm.
+    const ml::Confusion c = core::dimm_confusion({outcome}, windows_);
+    if (c.tp > 0) monitoring_->record_alarm_feedback(true);
+    if (c.fn > 0) monitoring_->record_missed_failure();
+    if (c.fp > 0) monitoring_->record_alarm_feedback(false);
   }
 }
 

@@ -76,27 +76,6 @@ TEST(SplitDimms, StratifiesPositives) {
   EXPECT_EQ(test_pos, 3);  // exactly 30% of the positives
 }
 
-TEST(Downsample, CapsNegativesPerDimm) {
-  const Dataset dataset = make_dataset(tiny_sample_set());
-  Rng rng(7);
-  const Dataset down = downsample(dataset, 1, 10, rng);
-  // 3 negative DIMMs capped at 1 row each + 3 positive rows.
-  EXPECT_EQ(down.size(), 6u);
-  EXPECT_EQ(down.positives(), 3u);
-}
-
-TEST(Downsample, KeepsLatestPositives) {
-  const Dataset dataset = make_dataset(tiny_sample_set());
-  Rng rng(7);
-  const Dataset down = downsample(dataset, 10, 1, rng);
-  ASSERT_EQ(down.positives(), 1u);
-  for (std::size_t r = 0; r < down.size(); ++r) {
-    if (down.y[r] == 1) {
-      EXPECT_EQ(down.time[r], days(3));  // the latest positive sample
-    }
-  }
-}
-
 TEST(RebalanceWeights, HitsTargetShare) {
   Dataset dataset = make_dataset(tiny_sample_set());
   rebalance_weights(dataset, 0.4);

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "core/predictor.h"
 #include "sim/fleet.h"
@@ -174,6 +176,85 @@ TEST(PipelineGolden, ResultsPinnedAtAnyThreadCount) {
 TEST(PipelineGolden, TrainSetPinned) {
   Experiment experiment(small_fleet(), PipelineConfig{});
   EXPECT_EQ(train_set_hash(experiment.train_set()), kGoldenTrainSetHash);
+}
+
+constexpr std::uint64_t kGoldenAblationHash = 11410948267458076846ULL;
+
+TEST(PipelineGolden, FeatureAblationPinned) {
+  // Unsorted columns with a categorical one, so the projection's column
+  // order and categorical remapping are both pinned.
+  const features::FeatureSchema schema = features::FeatureSchema::standard();
+  std::size_t categorical = 0;
+  while (!schema.def(categorical).categorical) ++categorical;
+  PipelineConfig config;
+  config.active_features =
+      schema.group_indices(features::FeatureGroup::kTemporal);
+  std::reverse(config.active_features.begin(), config.active_features.end());
+  config.active_features.push_back(categorical);
+  Experiment experiment(small_fleet(), config);
+  const std::uint64_t h = fold_result(train_set_hash(experiment.train_set()),
+                                      experiment.run(Algorithm::kLightGbm));
+  EXPECT_EQ(h, kGoldenAblationHash);
+}
+
+// ---------------------------------------------------------------------------
+// Per-DIMM downsampling (TrainingSetBuilder)
+// ---------------------------------------------------------------------------
+
+/// Three samples of one DIMM on days 1-3 (positives for DIMM 0, negatives
+/// otherwise); DIMM 0 also carries a too-late sample that must be dropped.
+std::vector<features::Sample> tiny_dimm(dram::DimmId dimm) {
+  std::vector<features::Sample> samples;
+  for (int s = 0; s < 3; ++s) {
+    features::Sample sample;
+    sample.dimm = dimm;
+    sample.time = days(s + 1);
+    sample.label = dimm == 0 ? 1 : 0;
+    sample.features = {static_cast<float>(dimm), static_cast<float>(s)};
+    samples.push_back(sample);
+  }
+  if (dimm == 0) {
+    features::Sample too_late = samples.back();
+    too_late.label = -1;
+    samples.push_back(too_late);
+  }
+  return samples;
+}
+
+ml::Dataset tiny_training_set(std::size_t max_negatives,
+                              std::size_t max_positives) {
+  SamplingParams sampling;
+  sampling.max_negatives_per_dimm = max_negatives;
+  sampling.max_positives_per_dimm = max_positives;
+  Rng rng(7);
+  TrainingSetBuilder builder(features::FeatureSchema::standard().subset({0, 1}),
+                             sampling, rng);
+  for (dram::DimmId dimm = 0; dimm < 4; ++dimm) {
+    builder.add_dimm(tiny_dimm(dimm));
+  }
+  return builder.finish();
+}
+
+TEST(Downsample, CapsNegativesPerDimm) {
+  const ml::Dataset down = tiny_training_set(1, 10);
+  // 3 negative DIMMs capped at 1 row each + 3 positive rows.
+  EXPECT_EQ(down.size(), 6u);
+  EXPECT_EQ(down.positives(), 3u);
+  std::set<dram::DimmId> negative_dimms;
+  for (std::size_t r = 0; r < down.size(); ++r) {
+    if (down.y[r] == 0) negative_dimms.insert(down.dimm[r]);
+  }
+  EXPECT_EQ(negative_dimms.size(), 3u);
+}
+
+TEST(Downsample, KeepsLatestPositives) {
+  const ml::Dataset down = tiny_training_set(10, 1);
+  ASSERT_EQ(down.positives(), 1u);
+  for (std::size_t r = 0; r < down.size(); ++r) {
+    if (down.y[r] == 1) {
+      EXPECT_EQ(down.time[r], days(3));  // the latest positive sample
+    }
+  }
 }
 
 TEST(Predictor, TrainScorePredictRoundTrip) {
