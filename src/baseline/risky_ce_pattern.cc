@@ -1,48 +1,83 @@
 #include "baseline/risky_ce_pattern.h"
 
-#include <unordered_map>
+#include <algorithm>
 
 namespace memfp::baseline {
 namespace {
 
-/// Accumulated per-device error-bit map of a CE prefix.
-class DeviceMaps {
- public:
-  explicit DeviceMaps(const dram::Geometry& geometry) : geometry_(geometry) {}
-
-  void add(const dram::CeEvent& ce) {
-    for (const dram::ErrorBit& bit : ce.pattern.bits()) {
-      per_device_[geometry_.device_of_dq(bit.dq)].add(bit);
-    }
-    ++ces_;
-  }
-
-  bool any_matches(const PatternRule& rule) const {
-    // memfp-lint: allow(unordered-iter): any-of over devices; the bool
-    for (const auto& [device, pattern] : per_device_) {
-      if (rule.matches(pattern, ces_)) return true;
-    }
-    return false;
-  }
-
- private:
-  dram::Geometry geometry_;
-  std::unordered_map<int, dram::ErrorPattern> per_device_;
-  std::uint64_t ces_ = 0;
+/// A device's accumulated error-bit map statistics right after CE `ce`.
+struct GrowthPoint {
+  std::size_t ce = 0;
+  int dq_count = 0;
+  int beat_count = 0;
+  int beat_span = 0;
 };
 
-std::optional<SimTime> first_alarm_with_rule(const sim::DimmTrace& trace,
-                                             const PatternRule& rule) {
-  DeviceMaps maps(trace.config.geometry());
-  for (const dram::CeEvent& ce : trace.ces) {
-    maps.add(ce);
-    if (maps.any_matches(rule)) return ce.time;
+/// One replay of a trace's CE history. It keeps only the growth points: the
+/// CEs after which some device's accumulated DQ count, beat count or beat
+/// span grew. All three, like the lifetime CE count, only grow as CEs
+/// accumulate, so a rule's device-map gates first hold at the first growth
+/// point meeting them, and the rule first fires at the later of that CE and
+/// the CE that reaches `min_ces`.
+class TraceReplay {
+ public:
+  explicit TraceReplay(const sim::DimmTrace& trace) : trace_(&trace) {
+    const dram::Geometry geometry = trace.config.geometry();
+    std::vector<dram::ErrorPattern> maps;  // per device
+    std::vector<GrowthPoint> latest;       // per device
+    for (std::size_t i = 0; i < trace.ces.size(); ++i) {
+      const std::vector<dram::ErrorBit>& bits = trace.ces[i].pattern.bits();
+      // Bits are sorted by lane and a device owns adjacent lanes, so each
+      // touched device's bits form one run.
+      for (std::size_t b = 0; b < bits.size();) {
+        const int device = geometry.device_of_dq(bits[b].dq);
+        const auto d = static_cast<std::size_t>(device);
+        if (d >= maps.size()) {
+          maps.resize(d + 1);
+          latest.resize(d + 1);
+        }
+        for (; b < bits.size() && geometry.device_of_dq(bits[b].dq) == device;
+             ++b) {
+          maps[d].add(bits[b]);
+        }
+        const GrowthPoint now{i, maps[d].dq_count(), maps[d].beat_count(),
+                              maps[d].beat_span()};
+        // The span is a function of the beat set, so it can only grow when
+        // the beat count does.
+        GrowthPoint& last = latest[d];
+        if (now.dq_count > last.dq_count || now.beat_count > last.beat_count) {
+          growth_.push_back(now);
+          last = now;
+        }
+      }
+    }
   }
-  return std::nullopt;
-}
 
-/// Candidate rule grid: the plausible neighbourhood of the published
-/// Skylake/Cascade Lake risky patterns.
+  /// Time of the CE after which some device first matches the rule.
+  std::optional<SimTime> first_alarm(const PatternRule& rule) const {
+    const auto ce_gate =
+        static_cast<std::size_t>(std::max(rule.min_ces, 1) - 1);
+    for (const GrowthPoint& point : growth_) {
+      if (!rule.map_matches(point.dq_count, point.beat_count,
+                            point.beat_span)) {
+        continue;
+      }
+      const std::size_t ce = std::max(point.ce, ce_gate);
+      if (ce >= trace_->ces.size()) return std::nullopt;
+      return trace_->ces[ce].time;
+    }
+    return std::nullopt;
+  }
+
+  const sim::DimmTrace& trace() const { return *trace_; }
+
+ private:
+  const sim::DimmTrace* trace_;
+  std::vector<GrowthPoint> growth_;  // CE order
+};
+
+}  // namespace
+
 std::vector<PatternRule> candidate_rules() {
   std::vector<PatternRule> rules;
   for (int dq : {1, 2, 3}) {
@@ -57,38 +92,38 @@ std::vector<PatternRule> candidate_rules() {
   return rules;
 }
 
-}  // namespace
+std::optional<SimTime> first_alarm(const PatternRule& rule,
+                                   const sim::DimmTrace& trace) {
+  return TraceReplay(trace).first_alarm(rule);
+}
 
-bool PatternRule::matches(const dram::ErrorPattern& device_pattern,
-                          std::uint64_t lifetime_ces) const {
-  return static_cast<int>(lifetime_ces) >= min_ces &&
-         device_pattern.dq_count() >= min_dq &&
-         device_pattern.beat_count() >= min_beats &&
-         device_pattern.beat_span() >= min_beat_span;
+bool PatternRule::map_matches(int dq_count, int beat_count,
+                              int beat_span) const {
+  return dq_count >= min_dq && beat_count >= min_beats &&
+         beat_span >= min_beat_span;
 }
 
 RiskyCePattern::RiskyCePattern(features::PredictionWindows windows)
     : windows_(windows) {}
 
-void RiskyCePattern::fit(const std::vector<const sim::DimmTrace*>& train,
-                         SimTime horizon) {
+void RiskyCePattern::fit(const std::vector<const sim::DimmTrace*>& train) {
   rules_.clear();
-  (void)horizon;
   // Partition training DIMMs by manufacturer.
-  std::map<dram::Manufacturer, std::vector<const sim::DimmTrace*>> groups;
+  std::map<dram::Manufacturer, std::vector<TraceReplay>> groups;
   for (const sim::DimmTrace* trace : train) {
-    groups[trace->config.manufacturer].push_back(trace);
+    groups[trace->config.manufacturer].emplace_back(*trace);
   }
-  for (const auto& [manufacturer, traces] : groups) {
+  const std::vector<PatternRule> candidates = candidate_rules();
+  for (const auto& [manufacturer, replays] : groups) {
     double best_f1 = -1.0;
     PatternRule best;
-    for (const PatternRule& rule : candidate_rules()) {
+    for (const PatternRule& rule : candidates) {
       std::size_t tp = 0, fp = 0, fn = 0;
-      for (const sim::DimmTrace* trace : traces) {
-        const std::optional<SimTime> alarm = first_alarm_with_rule(*trace, rule);
-        const bool is_positive = trace->predictable_ue();
-        if (is_positive) {
-          const SimTime ue = trace->ue->time;
+      for (const TraceReplay& replay : replays) {
+        const sim::DimmTrace& trace = replay.trace();
+        const std::optional<SimTime> alarm = replay.first_alarm(rule);
+        if (trace.predictable_ue()) {
+          const SimTime ue = trace.ue->time;
           const bool timely = alarm && ue - *alarm >= windows_.lead &&
                               ue - *alarm <= windows_.lead + windows_.prediction;
           if (timely) ++tp;
@@ -118,7 +153,7 @@ std::optional<SimTime> RiskyCePattern::first_alarm(
     const sim::DimmTrace& trace) const {
   const auto it = rules_.find(trace.config.manufacturer);
   if (it == rules_.end()) return std::nullopt;
-  return first_alarm_with_rule(trace, it->second);
+  return baseline::first_alarm(it->second, trace);
 }
 
 }  // namespace memfp::baseline

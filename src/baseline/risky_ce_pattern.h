@@ -26,17 +26,32 @@ struct PatternRule {
   int min_beat_span = 4;
   int min_ces = 1;  ///< lifetime CE count gate
 
-  bool matches(const dram::ErrorPattern& device_pattern,
-               std::uint64_t lifetime_ces) const;
+  /// The device-map gates, on one device's accumulated DQ count, beat count
+  /// and beat span.
+  bool map_matches(int dq_count, int beat_count, int beat_span) const;
+
+  bool operator==(const PatternRule&) const = default;
 };
+
+/// Candidate rule grid `RiskyCePattern::fit` searches, in tie-break order:
+/// the plausible neighbourhood of the published Skylake/Cascade Lake risky
+/// patterns.
+std::vector<PatternRule> candidate_rules();
+
+/// First time the trace's CE history matches `rule`: some device's
+/// accumulated map meets the map gates and the lifetime CE count reaches
+/// `min_ces`, checked after every CE. nullopt when it never fires.
+std::optional<SimTime> first_alarm(const PatternRule& rule,
+                                   const sim::DimmTrace& trace);
 
 class RiskyCePattern {
  public:
   explicit RiskyCePattern(features::PredictionWindows windows = {});
 
   /// Mines the best rule per manufacturer on training traces (selected by
-  /// DIMM-level F1 with the alarm-lead semantics of Section IV).
-  void fit(const std::vector<const sim::DimmTrace*>& train, SimTime horizon);
+  /// DIMM-level F1 with the alarm-lead semantics of Section IV). Each trace
+  /// is replayed once; every candidate rule is scored from that replay.
+  void fit(const std::vector<const sim::DimmTrace*>& train);
 
   /// First time the DIMM's CE history matches its manufacturer's rule
   /// (checked after every CE); nullopt when it never fires.

@@ -246,7 +246,7 @@ Experiment::Result Experiment::run_risky_baseline() {
   baseline::RiskyCePattern baseline(config_.windows);
   std::vector<const sim::DimmTrace*> fit_dimms = train_dimms_;
   fit_dimms.insert(fit_dimms.end(), val_dimms_.begin(), val_dimms_.end());
-  baseline.fit(fit_dimms, fleet_->horizon);
+  baseline.fit(fit_dimms);
 
   std::vector<AlarmOutcome> outcomes;
   for (const sim::DimmTrace* dimm : test_dimms_) {

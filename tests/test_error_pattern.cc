@@ -2,8 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
+
 namespace memfp::dram {
 namespace {
+
+/// Reference definition of the pattern statistics: sort the distinct values.
+template <typename Extract>
+std::vector<int> sorted_distinct(const ErrorPattern& p, Extract extract) {
+  std::vector<int> values;
+  for (const ErrorBit& bit : p.bits()) values.push_back(extract(bit));
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  return values;
+}
+
+int reference_span(const std::vector<int>& v) {
+  return v.size() < 2 ? 0 : v.back() - v.front();
+}
+
+int reference_max_gap(const std::vector<int>& v) {
+  int gap = 0;
+  for (std::size_t i = 1; i < v.size(); ++i) {
+    gap = std::max(gap, v[i] - v[i - 1]);
+  }
+  return gap;
+}
 
 TEST(ErrorPattern, EmptyStats) {
   ErrorPattern p;
@@ -78,6 +104,49 @@ TEST(ErrorPattern, MergeIsIdempotent) {
   ErrorPattern copy = a;
   a.merge(copy);
   EXPECT_EQ(a, copy);
+}
+
+TEST(ErrorPattern, StatsMatchSortedDistinctDefinition) {
+  Geometry wide_burst = Geometry::ddr4_x4();
+  wide_burst.beats = 16;
+  Rng rng(2024);
+  for (const Geometry& g :
+       {Geometry::ddr4_x4(), Geometry::ddr4_x8(), wide_burst}) {
+    for (int trial = 0; trial < 500; ++trial) {
+      std::vector<ErrorBit> bits;
+      const auto n = rng.uniform_int(0, 12);
+      for (std::int64_t i = 0; i < n; ++i) {
+        bits.push_back(
+            {static_cast<std::uint8_t>(rng.uniform_int(0, g.total_dq() - 1)),
+             static_cast<std::uint8_t>(rng.uniform_int(0, g.beats - 1))});
+      }
+      const ErrorPattern p(bits);
+      const auto dqs =
+          sorted_distinct(p, [](const ErrorBit& b) { return b.dq; });
+      const auto beats =
+          sorted_distinct(p, [](const ErrorBit& b) { return b.beat; });
+      const auto devices = sorted_distinct(
+          p, [&](const ErrorBit& b) { return g.device_of_dq(b.dq); });
+      EXPECT_EQ(p.dq_count(), static_cast<int>(dqs.size()));
+      EXPECT_EQ(p.beat_count(), static_cast<int>(beats.size()));
+      EXPECT_EQ(p.dq_span(), reference_span(dqs));
+      EXPECT_EQ(p.beat_span(), reference_span(beats));
+      EXPECT_EQ(p.max_dq_interval(), reference_max_gap(dqs));
+      EXPECT_EQ(p.max_beat_interval(), reference_max_gap(beats));
+      EXPECT_EQ(p.devices(g), devices);
+      EXPECT_EQ(p.device_count(g), static_cast<int>(devices.size()));
+    }
+  }
+}
+
+TEST(ErrorPattern, StatsCoverFullEightBitRange) {
+  ErrorPattern p({{0, 0}, {63, 64}, {64, 200}, {255, 255}});
+  EXPECT_EQ(p.dq_count(), 4);
+  EXPECT_EQ(p.dq_span(), 255);
+  EXPECT_EQ(p.max_dq_interval(), 191);
+  EXPECT_EQ(p.beat_count(), 4);
+  EXPECT_EQ(p.beat_span(), 255);
+  EXPECT_EQ(p.max_beat_interval(), 136);
 }
 
 }  // namespace

@@ -19,10 +19,12 @@
 #                    with every kernel pinned to the scalar table
 #   leg 6  bench     bench_micro smoke run (tracked benches execute with
 #                    minimal iterations, so bench binaries can't bit-rot)
-#                    plus tiny-scale bench_fleet, bench_serving and
-#                    bench_campaign passes (sharded driver spill→stream→
-#                    score, the batched serving engine, and the shared-vs-
-#                    naive campaign sweep with its hash identity check)
+#                    plus tiny-scale bench_fleet, bench_serving,
+#                    bench_campaign and bench_table2_prediction passes
+#                    (sharded driver spill→stream→score, the batched
+#                    serving engine, the shared-vs-naive campaign sweep
+#                    with its hash identity check, and the Table II loop
+#                    with its Risky-CE baseline cell)
 #   leg 7  tidy      clang-tidy over src/ (advisory; skipped when the
 #                    binary is not installed)
 #
@@ -127,6 +129,10 @@ run_bench() {
   # check on the stage cache.
   cmake --build "$dir" -j "$JOBS" --target bench_campaign
   MEMFP_BENCH_SCALE=0.05 "$dir/bench/bench_campaign" > /dev/null
+  # Table II smoke: every platform x algorithm cell at toy scale, including
+  # the Risky-CE baseline's fit and alarm replay on Purley.
+  cmake --build "$dir" -j "$JOBS" --target bench_table2_prediction
+  MEMFP_BENCH_SCALE=0.02 "$dir/bench/bench_table2_prediction" > /dev/null
 }
 
 run_tidy() {
