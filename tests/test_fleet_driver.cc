@@ -80,6 +80,36 @@ TEST(FleetDriverDeterminism, ShardAndThreadInvariant) {
   std::filesystem::remove_all(store);
 }
 
+// Golden pins on the driver's own output. ShardAndThreadInvariant compares
+// the driver with reference_fleet_result, but both fold through the same
+// codec and fold_sample_hash, so a change to either moves both sides
+// together; these constants do not move.
+constexpr std::size_t kGoldenObservedDimms = 219;
+constexpr std::size_t kGoldenSamples = 31756;
+constexpr std::uint64_t kGoldenTraceHash = 4636479359465254229ULL;
+constexpr std::uint64_t kGoldenFeatureHash = 18252525789765420246ULL;
+constexpr std::uint64_t kGoldenScoreHash = 3518176279017932263ULL;
+
+TEST(FleetDriverDeterminism, GoldenHashesPinned) {
+  const sim::ScenarioParams params = small_scenario();
+  const LinearStub model;
+  const std::string store = temp_store("memfp_fleet_driver_golden");
+  for (const int threads : {1, 4}) {
+    FleetDriverConfig config;
+    config.store_dir = store;
+    config.shards = 4;
+    config.num_threads = threads;
+    const FleetDriverResult run = run_fleet_driver(params, config, &model);
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    EXPECT_EQ(run.observed_dimms, kGoldenObservedDimms);
+    EXPECT_EQ(run.samples, kGoldenSamples);
+    EXPECT_EQ(run.trace_hash, kGoldenTraceHash);
+    EXPECT_EQ(run.feature_hash, kGoldenFeatureHash);
+    EXPECT_EQ(run.score_hash, kGoldenScoreHash);
+  }
+  std::filesystem::remove_all(store);
+}
+
 TEST(FleetDriverDeterminism, PlannerChunkingImmaterial) {
   const sim::ScenarioParams params = small_scenario();
   sim::FleetPlanner whole(params);
