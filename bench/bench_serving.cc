@@ -24,6 +24,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -236,9 +237,8 @@ int main(int argc, char** argv) {
       sim::ShardWriter writer(files.back(), fleet.platform, fleet.horizon);
       const std::size_t end =
           std::min(begin + kDimmsPerShard, fleet.dimms.size());
-      for (std::size_t i = begin; i < end; ++i) {
-        writer.append(fleet.dimms[i]);
-      }
+      writer.append(std::span<const sim::DimmTrace>(fleet.dimms)
+                        .subspan(begin, end - begin));
       writer.finish();
     }
     serve_point("store-1e5", fleet, files, /*with_reference=*/false);

@@ -22,7 +22,7 @@ std::uint64_t fold_sample_hash(std::uint64_t h,
                 static_cast<std::uint64_t>(
                     static_cast<std::int64_t>(sample.label)));
   for (const float value : sample.features) {
-    h = sim::fnv1a_u64(h, std::bit_cast<std::uint32_t>(value));
+    h = sim::fnv1a_u32(h, std::bit_cast<std::uint32_t>(value));
   }
   return h;
 }
@@ -61,20 +61,23 @@ SimulatedShard simulate_shard(std::span<const sim::PlannedDimm> jobs,
       },
       /*grain=*/1);
 
-  // Encode + spill the observed DIMMs in id order, folding the canonical
-  // trace hash as the bytes go out, and compact them to the front.
-  SimulatedShard shard;
-  shard.trace_hash = trace_hash;
-  sim::ShardWriter writer(path, params.platform, params.horizon);
+  // Compact the observed DIMMs to the front, then encode + spill them in
+  // one batch (parallel encode, frames in id order), folding each content
+  // hash into the running trace hash in id order.
   std::size_t observed = 0;
   for (std::size_t i = 0; i < traces.size(); ++i) {
     if (!sim::enters_observed_dataset(jobs[i].kind, traces[i])) continue;
-    shard.trace_hash =
-        sim::fnv1a_u64(shard.trace_hash, writer.append(traces[i]));
     if (observed != i) traces[observed] = std::move(traces[i]);
     ++observed;
   }
   traces.resize(observed);
+
+  SimulatedShard shard;
+  shard.trace_hash = trace_hash;
+  sim::ShardWriter writer(path, params.platform, params.horizon);
+  for (const std::uint64_t hash : writer.append(traces)) {
+    shard.trace_hash = sim::fnv1a_u64(shard.trace_hash, hash);
+  }
   shard.observed = std::move(traces);
   shard.stats = writer.finish();
   return shard;
@@ -137,7 +140,12 @@ FleetDriverResult run_fleet_driver(const sim::ScenarioParams& params,
         /*grain=*/1);
 
     // Fold features and score the shard in one flat batch, in id order.
+    std::size_t rows = 0;
+    for (const std::vector<features::Sample>& dimm_samples : samples) {
+      rows += dimm_samples.size();
+    }
     ml::Matrix x;
+    x.reserve(rows, extractor.schema().size());
     for (const std::vector<features::Sample>& dimm_samples : samples) {
       for (const features::Sample& sample : dimm_samples) {
         result.feature_hash = fold_sample_hash(result.feature_hash, sample);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <span>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
@@ -95,9 +96,8 @@ void DataLake::ingest(const std::string& partition, sim::FleetTrace trace) {
         std::min(trace.dimms.size(), begin + per_shard);
     const std::string path = sim::shard_path(dir, shard);
     sim::ShardWriter writer(path, trace.platform, trace.horizon);
-    for (std::size_t i = begin; i < end; ++i) {
-      writer.append(trace.dimms[i]);
-    }
+    writer.append(std::span<const sim::DimmTrace>(trace.dimms)
+                      .subspan(begin, end - begin));
     writer.finish();
     next.shard_files.push_back(path);
   }

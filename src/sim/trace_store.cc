@@ -1,13 +1,16 @@
 #include "sim/trace_store.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <system_error>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 
 namespace memfp::sim {
 namespace {
@@ -381,31 +384,47 @@ ShardWriter::ShardWriter(const std::string& path, dram::Platform platform,
 
 ShardWriter::~ShardWriter() = default;
 
-std::uint64_t ShardWriter::append(const DimmTrace& trace) {
+std::vector<std::uint64_t> ShardWriter::append(
+    std::span<const DimmTrace> traces) {
   MEMFP_CHECK(!finished_) << "trace store: append after finish on " << path_;
-  scratch_.clear();
-  encode_dimm_record(trace, scratch_);
-  const std::uint64_t content_hash =
-      fnv1a_bytes(kFnvOffset, scratch_.data(), scratch_.size());
-  std::vector<std::uint8_t> frame;
-  frame.reserve(scratch_.size() + 5);
-  put_varint(frame, scratch_.size());
-  frame.insert(frame.end(), scratch_.begin(), scratch_.end());
+  std::vector<std::vector<std::uint8_t>> payloads(traces.size());
+  std::vector<std::uint64_t> hashes(traces.size());
+  ThreadPool::global().parallel_for(
+      traces.size(),
+      [&](std::size_t i) {
+        encode_dimm_record(traces[i], payloads[i]);
+        hashes[i] =
+            fnv1a_bytes(kFnvOffset, payloads[i].data(), payloads[i].size());
+      },
+      /*grain=*/1);
 
-  offsets_.push_back(region_bytes_);
-  region_hash_ = fnv1a_bytes(region_hash_, frame.data(), frame.size());
-  region_bytes_ += frame.size();
-  out_.write(reinterpret_cast<const char*>(frame.data()),
-             static_cast<std::streamsize>(frame.size()));
-  MEMFP_CHECK(out_.good())
-      << "trace store: append write failed on " << path_ << " (disk full?)";
+  // Frames go out in record order: the offsets, the region checksum and the
+  // file bytes are the serial writer's, whatever the thread count.
+  std::vector<std::uint8_t> prefix;
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    prefix.clear();
+    put_varint(prefix, payloads[i].size());
+    offsets_.push_back(region_bytes_);
+    region_hash_ = fnv1a_bytes(region_hash_, prefix.data(), prefix.size());
+    region_hash_ =
+        fnv1a_bytes(region_hash_, payloads[i].data(), payloads[i].size());
+    region_bytes_ += prefix.size() + payloads[i].size();
+    out_.write(reinterpret_cast<const char*>(prefix.data()),
+               static_cast<std::streamsize>(prefix.size()));
+    out_.write(reinterpret_cast<const char*>(payloads[i].data()),
+               static_cast<std::streamsize>(payloads[i].size()));
+    MEMFP_CHECK(out_.good())
+        << "trace store: append write failed on " << path_ << " (disk full?)";
+    std::vector<std::uint8_t>().swap(payloads[i]);
 
-  ++stats_.dimms;
-  stats_.ce_records += trace.ces.size();
-  stats_.mem_events += trace.events.size();
-  stats_.ue_records += trace.ue ? 1 : 0;
-  stats_.suppressed_ces += trace.suppressed_ce_count;
-  return content_hash;
+    const DimmTrace& trace = traces[i];
+    ++stats_.dimms;
+    stats_.ce_records += trace.ces.size();
+    stats_.mem_events += trace.events.size();
+    stats_.ue_records += trace.ue ? 1 : 0;
+    stats_.suppressed_ces += trace.suppressed_ce_count;
+  }
+  return hashes;
 }
 
 ShardStats ShardWriter::finish() {
@@ -445,44 +464,57 @@ ShardStats ShardWriter::finish() {
 TraceReader::TraceReader(const std::string& path) : path_(path) {
   std::ifstream in(path, std::ios::binary);
   MEMFP_CHECK(in.good()) << "trace store: cannot open " << path;
-  std::vector<std::uint8_t> file(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  MEMFP_CHECK(!in.bad()) << "trace store: read failed on " << path;
-  file_bytes_ = file.size();
-  MEMFP_CHECK_GE(file.size(), kHeaderBytes + kFooterBytes)
+  // One sized read: the header into a fixed buffer and the rest of the file
+  // straight into region_, which is trimmed to the record region in place
+  // once the index is parsed. No byte of the shard is copied twice.
+  std::error_code error;
+  const std::uintmax_t size = std::filesystem::file_size(path, error);
+  MEMFP_CHECK(!error) << "trace store: read failed on " << path << " ("
+                      << error.message() << ")";
+  const auto file_size = static_cast<std::size_t>(size);
+  std::array<std::uint8_t, kHeaderBytes> header{};
+  const std::size_t header_read = std::min(file_size, kHeaderBytes);
+  region_.resize(file_size - header_read);
+  in.read(reinterpret_cast<char*>(header.data()),
+          static_cast<std::streamsize>(header_read));
+  in.read(reinterpret_cast<char*>(region_.data()),
+          static_cast<std::streamsize>(region_.size()));
+  MEMFP_CHECK(in.good()) << "trace store: read failed on " << path;
+  file_bytes_ = file_size;
+  MEMFP_CHECK_GE(file_size, kHeaderBytes + kFooterBytes)
       << "trace store: " << path << " is truncated";
 
-  MEMFP_CHECK(std::memcmp(file.data(), kHeaderMagic, 8) == 0)
+  MEMFP_CHECK(std::memcmp(header.data(), kHeaderMagic, 8) == 0)
       << "trace store: " << path << " is not a shard file";
-  const std::uint32_t version = get_u32(file.data() + 8);
+  const std::uint32_t version = get_u32(header.data() + 8);
   MEMFP_CHECK_EQ(version, kFormatVersion)
       << "trace store: unsupported shard version in " << path;
-  const std::uint8_t platform = file[12];
+  const std::uint8_t platform = header[12];
   MEMFP_CHECK_LE(platform, static_cast<int>(dram::Platform::kK920))
       << "trace store: invalid platform in " << path;
   platform_ = static_cast<dram::Platform>(platform);
-  horizon_ = static_cast<SimTime>(get_u64(file.data() + 16));
+  horizon_ = static_cast<SimTime>(get_u64(header.data() + 16));
   MEMFP_CHECK_GE(horizon_, 0) << "trace store: negative horizon in " << path;
 
-  const std::uint8_t* footer = file.data() + file.size() - kFooterBytes;
+  // region_ holds everything after the header: records, index, footer.
+  const std::uint8_t* footer = region_.data() + region_.size() - kFooterBytes;
   MEMFP_CHECK(std::memcmp(footer + 16, kFooterMagic, 8) == 0)
       << "trace store: " << path << " has no footer (unfinished writer?)";
   const std::uint64_t index_offset = get_u64(footer);
   const std::uint64_t stored_hash = get_u64(footer + 8);
   MEMFP_CHECK(index_offset >= kHeaderBytes &&
-              index_offset <= file.size() - kFooterBytes)
+              index_offset <= file_size - kFooterBytes)
       << "trace store: index offset out of bounds in " << path;
 
-  region_.assign(file.begin() + kHeaderBytes,
-                 file.begin() + static_cast<std::ptrdiff_t>(index_offset));
+  const auto region_size = static_cast<std::size_t>(index_offset - kHeaderBytes);
+  const std::span<const std::uint8_t> region(region_.data(), region_size);
   const std::uint64_t actual_hash =
-      fnv1a_bytes(kFnvOffset, region_.data(), region_.size());
+      fnv1a_bytes(kFnvOffset, region.data(), region.size());
   MEMFP_CHECK_EQ(actual_hash, stored_hash)
       << "trace store: record region checksum mismatch in " << path;
 
-  Cursor index(std::span<const std::uint8_t>(
-      file.data() + index_offset,
-      file.size() - kFooterBytes - index_offset));
+  Cursor index(std::span<const std::uint8_t>(region_).subspan(
+      region_size, region_.size() - kFooterBytes - region_size));
   const std::uint64_t count = index.varint();
   records_.reserve(count);
   std::uint64_t offset = 0;
@@ -491,22 +523,22 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
     offset += index.varint();
     MEMFP_CHECK_EQ(offset, expected_next)
         << "trace store: non-contiguous record frames in " << path;
-    Cursor frame(std::span<const std::uint8_t>(region_)
-                     .subspan(static_cast<std::size_t>(offset)));
+    Cursor frame(region.subspan(static_cast<std::size_t>(offset)));
     const std::uint64_t len = frame.varint();
     const std::uint64_t payload_start = offset + frame.position();
     // Subtraction form: a hostile length near 2^64 would wrap the additive
     // `payload_start + len` bound. payload_start <= region size holds by the
-    // frame cursor's own bounds (it reads within region_[offset:]).
-    MEMFP_CHECK_LE(len, region_.size() - payload_start)
+    // frame cursor's own bounds (it reads within region[offset:]).
+    MEMFP_CHECK_LE(len, region.size() - payload_start)
         << "trace store: record overruns the region in " << path;
     records_.emplace_back(payload_start, len);
     expected_next = payload_start + len;
   }
   MEMFP_CHECK(index.exhausted())
       << "trace store: trailing bytes after the shard index in " << path;
-  MEMFP_CHECK_EQ(expected_next, region_.size())
+  MEMFP_CHECK_EQ(expected_next, region.size())
       << "trace store: record region has unindexed bytes in " << path;
+  region_.resize(region_size);
 }
 
 DimmTrace TraceReader::read_dimm(std::size_t index) const {

@@ -4,12 +4,18 @@
 // truncated shards die with a clean MEMFP_CHECK diagnostic, never UB.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/thread_pool.h"
 #include "sim/fleet.h"
 #include "sim/trace_store.h"
 
@@ -138,6 +144,24 @@ void expect_traces_equal(const DimmTrace& a, const DimmTrace& b) {
   }
 }
 
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// `copies` rounds of `traces` with ascending ids, as a shard holds them.
+std::vector<DimmTrace> repeated(const std::vector<DimmTrace>& traces,
+                                std::size_t copies) {
+  std::vector<DimmTrace> out;
+  for (std::size_t c = 0; c < copies; ++c) {
+    for (const DimmTrace& trace : traces) {
+      out.push_back(trace);
+      out.back().id = static_cast<dram::DimmId>(out.size());
+    }
+  }
+  return out;
+}
+
 TEST(TraceStoreCodec, GoldenHashRoundTrip) {
   for (const DimmTrace& trace : corpus()) {
     std::vector<std::uint8_t> encoded;
@@ -154,6 +178,30 @@ TEST(TraceStoreCodec, GoldenHashRoundTrip) {
     EXPECT_EQ(trace_content_hash(trace), trace_content_hash(decoded));
     EXPECT_EQ(trace_content_hash(trace),
               fnv1a_bytes(kFnvOffset, encoded.data(), encoded.size()));
+  }
+}
+
+TEST(TraceStoreCodec, FnvU32FoldMatchesWidenedU64) {
+  // fnv1a_u32 skips the four zero high bytes with one multiply by P^4; it
+  // must equal the byte-wise u64 fold for every seed and value.
+  std::vector<std::uint32_t> values = {
+      0u,
+      std::bit_cast<std::uint32_t>(-0.0f),
+      std::bit_cast<std::uint32_t>(std::numeric_limits<float>::infinity()),
+      std::bit_cast<std::uint32_t>(-std::numeric_limits<float>::infinity()),
+      std::bit_cast<std::uint32_t>(std::numeric_limits<float>::quiet_NaN()),
+      std::bit_cast<std::uint32_t>(std::numeric_limits<float>::denorm_min()),
+      0xffffffffu};
+  Rng rng(2024);
+  for (int i = 0; i < 1000; ++i) {
+    values.push_back(static_cast<std::uint32_t>(rng.next()));
+  }
+  for (int s = 0; s < 64; ++s) {
+    const std::uint64_t seed = s == 0 ? kFnvOffset : rng.next();
+    for (const std::uint32_t v : values) {
+      EXPECT_EQ(fnv1a_u32(seed, v), fnv1a_u64(seed, v))
+          << "seed " << seed << " value " << v;
+    }
   }
 }
 
@@ -207,6 +255,48 @@ TEST(TraceStoreShard, AppendReturnsContentHash) {
   std::remove(path.c_str());
 }
 
+TEST(TraceStoreShard, ParallelBatchAppendMatchesSerialBytes) {
+  // One batch append encodes on the pool but writes frames in order: the
+  // file must be byte-identical to a trace-by-trace write at any thread
+  // count, and the returned hashes must be the records' content hashes.
+  const std::vector<std::vector<DimmTrace>> batches = {
+      repeated({sparse_trace()}, 9),
+      repeated({storm_heavy_trace()}, 5),
+      repeated({ue_truncated_trace()}, 7),
+      repeated({empty_trace()}, 6),
+      repeated(corpus(), 16),
+      {}};
+  const std::string serial_path = shard_path(temp_dir(), 10);
+  const std::string batch_path = shard_path(temp_dir(), 11);
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    const std::vector<DimmTrace>& batch = batches[b];
+    ShardWriter serial(serial_path, dram::Platform::kIntelPurley, days(20));
+    for (const DimmTrace& trace : batch) serial.append(trace);
+    const ShardStats serial_stats = serial.finish();
+    const std::vector<std::uint8_t> expected = file_bytes(serial_path);
+
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(testing::Message()
+                   << "batch " << b << ", " << threads << " threads");
+      const ThreadPool::ScopedLimit limit(threads);
+      ShardWriter writer(batch_path, dram::Platform::kIntelPurley, days(20));
+      const std::vector<std::uint64_t> hashes = writer.append(batch);
+      const ShardStats stats = writer.finish();
+      ASSERT_EQ(hashes.size(), batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(hashes[i], trace_content_hash(batch[i])) << "record " << i;
+      }
+      EXPECT_EQ(file_bytes(batch_path), expected);
+      EXPECT_EQ(stats.dimms, serial_stats.dimms);
+      EXPECT_EQ(stats.raw_records(), serial_stats.raw_records());
+      EXPECT_EQ(stats.suppressed_ces, serial_stats.suppressed_ces);
+      EXPECT_EQ(stats.file_bytes, serial_stats.file_bytes);
+    }
+  }
+  std::remove(serial_path.c_str());
+  std::remove(batch_path.c_str());
+}
+
 TEST(TraceStoreDeathTest, TruncatedShardRejected) {
   const std::string path = shard_path(temp_dir(), 2);
   {
@@ -218,6 +308,37 @@ TEST(TraceStoreDeathTest, TruncatedShardRejected) {
   std::filesystem::resize_file(path, full_size - 9);
   EXPECT_DEATH({ TraceReader reader(path); }, "trace store");
   std::remove(path.c_str());
+}
+
+TEST(TraceStoreDeathTest, EmptyFileRejected) {
+  // A zero-byte file must fail the size check, not read a header it lacks.
+  const std::string path = shard_path(temp_dir(), 12);
+  { std::ofstream out(path, std::ios::binary | std::ios::trunc); }
+  ASSERT_EQ(std::filesystem::file_size(path), 0u);
+  EXPECT_DEATH({ TraceReader reader(path); },
+               "trace store: .*shard-00012\\.mft is truncated");
+  std::remove(path.c_str());
+}
+
+TEST(TraceStoreDeathTest, HeaderOnlyFileRejected) {
+  // A writer destroyed before any append or finish leaves just the header:
+  // shorter than header + footer, so there is no footer to read.
+  const std::string path = shard_path(temp_dir(), 13);
+  { ShardWriter writer(path, dram::Platform::kIntelPurley, days(10)); }
+  ASSERT_GT(std::filesystem::file_size(path), 0u);
+  EXPECT_DEATH({ TraceReader reader(path); },
+               "trace store: .*shard-00013\\.mft is truncated");
+  std::remove(path.c_str());
+}
+
+TEST(TraceStoreDeathTest, DirectoryPathRejected) {
+  // A directory opens as a stream but has no size to read.
+  const std::string path =
+      (std::filesystem::path(temp_dir()) / "shard-00014.mft").string();
+  std::filesystem::create_directories(path);
+  EXPECT_DEATH({ TraceReader reader(path); },
+               "trace store: read failed on .*shard-00014\\.mft");
+  std::filesystem::remove_all(path);
 }
 
 TEST(TraceStoreDeathTest, CorruptRecordRejected) {
@@ -347,6 +468,14 @@ TEST(TraceStoreDeathTest, WriterChecksStreamStateOnAppend) {
         ShardWriter writer("/dev/full", dram::Platform::kIntelPurley,
                            days(10));
         for (int i = 0; i < 256; ++i) writer.append(storm_heavy_trace());
+      },
+      "append write failed on /dev/full");
+  const std::vector<DimmTrace> batch = repeated({storm_heavy_trace()}, 256);
+  EXPECT_DEATH(
+      {
+        ShardWriter writer("/dev/full", dram::Platform::kIntelPurley,
+                           days(10));
+        writer.append(batch);
       },
       "append write failed on /dev/full");
 }
