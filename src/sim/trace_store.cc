@@ -20,6 +20,10 @@ constexpr char kFooterMagic[8] = {'M', 'F', 'T', 'S', 'E', 'N', 'D', '1'};
 constexpr std::uint32_t kFormatVersion = 1;
 constexpr std::size_t kHeaderBytes = 24;  // magic + version + platform + horizon
 constexpr std::size_t kFooterBytes = 24;  // index offset + region hash + magic
+// Records a batch append encodes ahead of its frame writer: enough to keep
+// every pool thread busy, few enough that the payloads held at once stay
+// small next to the traces they encode.
+constexpr std::size_t kEncodeWindow = 256;
 
 // ---------------------------------------------------------------------------
 // Little-endian primitives (explicit, so shards are portable across hosts)
@@ -387,42 +391,48 @@ ShardWriter::~ShardWriter() = default;
 std::vector<std::uint64_t> ShardWriter::append(
     std::span<const DimmTrace> traces) {
   MEMFP_CHECK(!finished_) << "trace store: append after finish on " << path_;
-  std::vector<std::vector<std::uint8_t>> payloads(traces.size());
   std::vector<std::uint64_t> hashes(traces.size());
-  ThreadPool::global().parallel_for(
-      traces.size(),
-      [&](std::size_t i) {
-        encode_dimm_record(traces[i], payloads[i]);
-        hashes[i] =
-            fnv1a_bytes(kFnvOffset, payloads[i].data(), payloads[i].size());
-      },
-      /*grain=*/1);
-
-  // Frames go out in record order: the offsets, the region checksum and the
-  // file bytes are the serial writer's, whatever the thread count.
+  // The pool encodes one window of records into reused payload slots, then
+  // that window's frames go out before the next window is encoded.
+  std::vector<std::vector<std::uint8_t>> payloads(
+      std::min(traces.size(), kEncodeWindow));
   std::vector<std::uint8_t> prefix;
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    prefix.clear();
-    put_varint(prefix, payloads[i].size());
-    offsets_.push_back(region_bytes_);
-    region_hash_ = fnv1a_bytes(region_hash_, prefix.data(), prefix.size());
-    region_hash_ =
-        fnv1a_bytes(region_hash_, payloads[i].data(), payloads[i].size());
-    region_bytes_ += prefix.size() + payloads[i].size();
-    out_.write(reinterpret_cast<const char*>(prefix.data()),
-               static_cast<std::streamsize>(prefix.size()));
-    out_.write(reinterpret_cast<const char*>(payloads[i].data()),
-               static_cast<std::streamsize>(payloads[i].size()));
-    MEMFP_CHECK(out_.good())
-        << "trace store: append write failed on " << path_ << " (disk full?)";
-    std::vector<std::uint8_t>().swap(payloads[i]);
+  for (std::size_t begin = 0; begin < traces.size(); begin += kEncodeWindow) {
+    const std::size_t count = std::min(kEncodeWindow, traces.size() - begin);
+    ThreadPool::global().parallel_for(
+        count,
+        [&](std::size_t i) {
+          payloads[i].clear();
+          encode_dimm_record(traces[begin + i], payloads[i]);
+          hashes[begin + i] =
+              fnv1a_bytes(kFnvOffset, payloads[i].data(), payloads[i].size());
+        },
+        /*grain=*/1);
 
-    const DimmTrace& trace = traces[i];
-    ++stats_.dimms;
-    stats_.ce_records += trace.ces.size();
-    stats_.mem_events += trace.events.size();
-    stats_.ue_records += trace.ue ? 1 : 0;
-    stats_.suppressed_ces += trace.suppressed_ce_count;
+    // Frames go out in record order: the offsets, the region checksum and
+    // the file bytes are the serial writer's, whatever the thread count.
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::vector<std::uint8_t>& payload = payloads[i];
+      prefix.clear();
+      put_varint(prefix, payload.size());
+      offsets_.push_back(region_bytes_);
+      region_hash_ = fnv1a_bytes(region_hash_, prefix.data(), prefix.size());
+      region_hash_ = fnv1a_bytes(region_hash_, payload.data(), payload.size());
+      region_bytes_ += prefix.size() + payload.size();
+      out_.write(reinterpret_cast<const char*>(prefix.data()),
+                 static_cast<std::streamsize>(prefix.size()));
+      out_.write(reinterpret_cast<const char*>(payload.data()),
+                 static_cast<std::streamsize>(payload.size()));
+      MEMFP_CHECK(out_.good()) << "trace store: append write failed on "
+                               << path_ << " (disk full?)";
+
+      const DimmTrace& trace = traces[begin + i];
+      ++stats_.dimms;
+      stats_.ce_records += trace.ces.size();
+      stats_.mem_events += trace.events.size();
+      stats_.ue_records += trace.ue ? 1 : 0;
+      stats_.suppressed_ces += trace.suppressed_ce_count;
+    }
   }
   return hashes;
 }

@@ -125,9 +125,10 @@ struct ShardStats {
 /// reject it via the missing footer magic.
 ///
 /// A batch append encodes and content-hashes its records in parallel on the
-/// global ThreadPool, one slot per record, then writes the frames and folds
-/// the region checksum serially in record order, so the file bytes do not
-/// depend on the thread count.
+/// global ThreadPool, one slot per record and a bounded window of records at
+/// a time, then writes each window's frames and folds the region checksum
+/// serially in record order, so the file bytes do not depend on the thread
+/// count.
 class ShardWriter {
  public:
   ShardWriter(const std::string& path, dram::Platform platform,

@@ -264,7 +264,7 @@ TEST(TraceStoreShard, ParallelBatchAppendMatchesSerialBytes) {
       repeated({storm_heavy_trace()}, 5),
       repeated({ue_truncated_trace()}, 7),
       repeated({empty_trace()}, 6),
-      repeated(corpus(), 16),
+      repeated(corpus(), 70),  // 280 records: spans encode windows
       {}};
   const std::string serial_path = shard_path(temp_dir(), 10);
   const std::string batch_path = shard_path(temp_dir(), 11);
