@@ -392,35 +392,36 @@ std::vector<std::uint64_t> ShardWriter::append(
     std::span<const DimmTrace> traces) {
   MEMFP_CHECK(!finished_) << "trace store: append after finish on " << path_;
   std::vector<std::uint64_t> hashes(traces.size());
-  // The pool encodes one window of records into reused payload slots, then
+  // The pool encodes one window of records into the payload slots, then
   // that window's frames go out before the next window is encoded.
-  std::vector<std::vector<std::uint8_t>> payloads(
-      std::min(traces.size(), kEncodeWindow));
-  std::vector<std::uint8_t> prefix;
+  if (payloads_.size() < std::min(traces.size(), kEncodeWindow)) {
+    payloads_.resize(std::min(traces.size(), kEncodeWindow));
+  }
   for (std::size_t begin = 0; begin < traces.size(); begin += kEncodeWindow) {
     const std::size_t count = std::min(kEncodeWindow, traces.size() - begin);
     ThreadPool::global().parallel_for(
         count,
         [&](std::size_t i) {
-          payloads[i].clear();
-          encode_dimm_record(traces[begin + i], payloads[i]);
+          std::vector<std::uint8_t>& payload = payloads_[i];
+          payload.clear();
+          encode_dimm_record(traces[begin + i], payload);
           hashes[begin + i] =
-              fnv1a_bytes(kFnvOffset, payloads[i].data(), payloads[i].size());
+              fnv1a_bytes(kFnvOffset, payload.data(), payload.size());
         },
         /*grain=*/1);
 
     // Frames go out in record order: the offsets, the region checksum and
     // the file bytes are the serial writer's, whatever the thread count.
     for (std::size_t i = 0; i < count; ++i) {
-      const std::vector<std::uint8_t>& payload = payloads[i];
-      prefix.clear();
-      put_varint(prefix, payload.size());
+      const std::vector<std::uint8_t>& payload = payloads_[i];
+      prefix_.clear();
+      put_varint(prefix_, payload.size());
       offsets_.push_back(region_bytes_);
-      region_hash_ = fnv1a_bytes(region_hash_, prefix.data(), prefix.size());
+      region_hash_ = fnv1a_bytes(region_hash_, prefix_.data(), prefix_.size());
       region_hash_ = fnv1a_bytes(region_hash_, payload.data(), payload.size());
-      region_bytes_ += prefix.size() + payload.size();
-      out_.write(reinterpret_cast<const char*>(prefix.data()),
-                 static_cast<std::streamsize>(prefix.size()));
+      region_bytes_ += prefix_.size() + payload.size();
+      out_.write(reinterpret_cast<const char*>(prefix_.data()),
+                 static_cast<std::streamsize>(prefix_.size()));
       out_.write(reinterpret_cast<const char*>(payload.data()),
                  static_cast<std::streamsize>(payload.size()));
       MEMFP_CHECK(out_.good()) << "trace store: append write failed on "

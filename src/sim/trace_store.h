@@ -153,6 +153,10 @@ class ShardWriter {
   std::string path_;
   ShardStats stats_;
   std::vector<std::uint64_t> offsets_;  // record starts, relative to region
+  // Encode buffers, one per record of an append window, reused across
+  // windows and calls; prefix_ holds one frame's length varint.
+  std::vector<std::vector<std::uint8_t>> payloads_;
+  std::vector<std::uint8_t> prefix_;
   std::uint64_t region_bytes_ = 0;
   std::uint64_t region_hash_ = kFnvOffset;
   bool finished_ = false;
