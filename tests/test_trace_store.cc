@@ -10,7 +10,6 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
-#include <span>
 #include <string>
 #include <vector>
 
