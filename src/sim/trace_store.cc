@@ -392,8 +392,6 @@ std::vector<std::uint64_t> ShardWriter::append(
     std::span<const DimmTrace> traces) {
   MEMFP_CHECK(!finished_) << "trace store: append after finish on " << path_;
   std::vector<std::uint64_t> hashes(traces.size());
-  // The pool encodes one window of records into the payload slots, then
-  // that window's frames go out before the next window is encoded.
   if (payloads_.size() < std::min(traces.size(), kEncodeWindow)) {
     payloads_.resize(std::min(traces.size(), kEncodeWindow));
   }

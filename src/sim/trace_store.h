@@ -61,20 +61,18 @@ inline std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t value) {
   return h;
 }
 
-/// kFnvPrime^4 mod 2^64: the net effect of folding four zero bytes, since
-/// `h ^= 0` is a no-op and each of them leaves a bare multiply.
-inline constexpr std::uint64_t kFnvPrime4 =
-    kFnvPrime * kFnvPrime * kFnvPrime * kFnvPrime;
-
 /// fnv1a_u64(h, value) for a value widened from 32 bits: folds the four low
-/// bytes and replaces the four zero high bytes with one multiply. Equal to
-/// fnv1a_u64 bit for bit, at half the multiplies.
+/// bytes, then the four zero high bytes as one multiply by kFnvPrime^4
+/// (`h ^= 0` is a no-op, so each zero byte is a bare multiply). Equal to
+/// fnv1a_u64 bit for bit.
 inline std::uint64_t fnv1a_u32(std::uint64_t h, std::uint32_t value) {
+  constexpr std::uint64_t kPrime4 =
+      kFnvPrime * kFnvPrime * kFnvPrime * kFnvPrime;
   for (int i = 0; i < 4; ++i) {
     h ^= (value >> (8 * i)) & 0xffU;
     h *= kFnvPrime;
   }
-  return h * kFnvPrime4;
+  return h * kPrime4;
 }
 
 // ---------------------------------------------------------------------------
