@@ -22,7 +22,7 @@ std::uint64_t fold_sample_hash(std::uint64_t h,
                 static_cast<std::uint64_t>(
                     static_cast<std::int64_t>(sample.label)));
   for (const float value : sample.features) {
-    h = sim::fnv1a_u32(h, std::bit_cast<std::uint32_t>(value));
+    h = sim::fnv1a_u64(h, std::bit_cast<std::uint32_t>(value));
   }
   return h;
 }
@@ -140,12 +140,7 @@ FleetDriverResult run_fleet_driver(const sim::ScenarioParams& params,
         /*grain=*/1);
 
     // Fold features and score the shard in one flat batch, in id order.
-    std::size_t rows = 0;
-    for (const std::vector<features::Sample>& dimm_samples : samples) {
-      rows += dimm_samples.size();
-    }
     ml::Matrix x;
-    x.reserve(rows, extractor.schema().size());
     for (const std::vector<features::Sample>& dimm_samples : samples) {
       for (const features::Sample& sample : dimm_samples) {
         result.feature_hash = fold_sample_hash(result.feature_hash, sample);

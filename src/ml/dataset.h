@@ -30,12 +30,6 @@ class Matrix {
     return {data_.data() + r * cols_, cols_};
   }
   void push_row(std::span<const float> values);
-  /// Reserves storage for `rows` rows of `cols` values, so a caller that
-  /// knows its row count pushes them without regrowing. The first push_row
-  /// still fixes the width.
-  void reserve(std::size_t rows, std::size_t cols) {
-    data_.reserve(rows * cols);
-  }
 
   /// Drops all rows but keeps the column count and the data capacity, so a
   /// caller filling batches in a loop (the serving engine) reuses the

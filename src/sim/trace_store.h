@@ -61,20 +61,6 @@ inline std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t value) {
   return h;
 }
 
-/// fnv1a_u64(h, value) for a value widened from 32 bits: folds the four low
-/// bytes, then the four zero high bytes as one multiply by kFnvPrime^4
-/// (`h ^= 0` is a no-op, so each zero byte is a bare multiply). Equal to
-/// fnv1a_u64 bit for bit.
-inline std::uint64_t fnv1a_u32(std::uint64_t h, std::uint32_t value) {
-  constexpr std::uint64_t kPrime4 =
-      kFnvPrime * kFnvPrime * kFnvPrime * kFnvPrime;
-  for (int i = 0; i < 4; ++i) {
-    h ^= (value >> (8 * i)) & 0xffU;
-    h *= kFnvPrime;
-  }
-  return h * kPrime4;
-}
-
 // ---------------------------------------------------------------------------
 // Record codec
 // ---------------------------------------------------------------------------

@@ -4,16 +4,13 @@
 // truncated shards die with a clean MEMFP_CHECK diagnostic, never UB.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <limits>
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "sim/fleet.h"
 #include "sim/trace_store.h"
@@ -177,30 +174,6 @@ TEST(TraceStoreCodec, GoldenHashRoundTrip) {
     EXPECT_EQ(trace_content_hash(trace), trace_content_hash(decoded));
     EXPECT_EQ(trace_content_hash(trace),
               fnv1a_bytes(kFnvOffset, encoded.data(), encoded.size()));
-  }
-}
-
-TEST(TraceStoreCodec, FnvU32FoldMatchesWidenedU64) {
-  // fnv1a_u32 skips the four zero high bytes with one multiply by P^4; it
-  // must equal the byte-wise u64 fold for every seed and value.
-  std::vector<std::uint32_t> values = {
-      0u,
-      std::bit_cast<std::uint32_t>(-0.0f),
-      std::bit_cast<std::uint32_t>(std::numeric_limits<float>::infinity()),
-      std::bit_cast<std::uint32_t>(-std::numeric_limits<float>::infinity()),
-      std::bit_cast<std::uint32_t>(std::numeric_limits<float>::quiet_NaN()),
-      std::bit_cast<std::uint32_t>(std::numeric_limits<float>::denorm_min()),
-      0xffffffffu};
-  Rng rng(2024);
-  for (int i = 0; i < 1000; ++i) {
-    values.push_back(static_cast<std::uint32_t>(rng.next()));
-  }
-  for (int s = 0; s < 64; ++s) {
-    const std::uint64_t seed = s == 0 ? kFnvOffset : rng.next();
-    for (const std::uint32_t v : values) {
-      EXPECT_EQ(fnv1a_u32(seed, v), fnv1a_u64(seed, v))
-          << "seed " << seed << " value " << v;
-    }
   }
 }
 
