@@ -411,29 +411,42 @@ std::vector<std::uint64_t> ShardWriter::append(
     // Frames go out in record order: the offsets, the region checksum and
     // the file bytes are the serial writer's, whatever the thread count.
     for (std::size_t i = 0; i < count; ++i) {
-      const std::vector<std::uint8_t>& payload = payloads_[i];
-      prefix_.clear();
-      put_varint(prefix_, payload.size());
-      offsets_.push_back(region_bytes_);
-      region_hash_ = fnv1a_bytes(region_hash_, prefix_.data(), prefix_.size());
-      region_hash_ = fnv1a_bytes(region_hash_, payload.data(), payload.size());
-      region_bytes_ += prefix_.size() + payload.size();
-      out_.write(reinterpret_cast<const char*>(prefix_.data()),
-                 static_cast<std::streamsize>(prefix_.size()));
-      out_.write(reinterpret_cast<const char*>(payload.data()),
-                 static_cast<std::streamsize>(payload.size()));
-      MEMFP_CHECK(out_.good()) << "trace store: append write failed on "
-                               << path_ << " (disk full?)";
-
-      const DimmTrace& trace = traces[begin + i];
-      ++stats_.dimms;
-      stats_.ce_records += trace.ces.size();
-      stats_.mem_events += trace.events.size();
-      stats_.ue_records += trace.ue ? 1 : 0;
-      stats_.suppressed_ces += trace.suppressed_ce_count;
+      write_frame(traces[begin + i], payloads_[i]);
     }
   }
   return hashes;
+}
+
+std::uint64_t ShardWriter::append(const DimmTrace& trace) {
+  MEMFP_CHECK(!finished_) << "trace store: append after finish on " << path_;
+  if (payloads_.empty()) payloads_.resize(1);
+  std::vector<std::uint8_t>& payload = payloads_.front();
+  payload.clear();
+  encode_dimm_record(trace, payload);
+  write_frame(trace, payload);
+  return fnv1a_bytes(kFnvOffset, payload.data(), payload.size());
+}
+
+void ShardWriter::write_frame(const DimmTrace& trace,
+                              const std::vector<std::uint8_t>& payload) {
+  prefix_.clear();
+  put_varint(prefix_, payload.size());
+  offsets_.push_back(region_bytes_);
+  region_hash_ = fnv1a_bytes(region_hash_, prefix_.data(), prefix_.size());
+  region_hash_ = fnv1a_bytes(region_hash_, payload.data(), payload.size());
+  region_bytes_ += prefix_.size() + payload.size();
+  out_.write(reinterpret_cast<const char*>(prefix_.data()),
+             static_cast<std::streamsize>(prefix_.size()));
+  out_.write(reinterpret_cast<const char*>(payload.data()),
+             static_cast<std::streamsize>(payload.size()));
+  MEMFP_CHECK(out_.good()) << "trace store: append write failed on " << path_
+                           << " (disk full?)";
+
+  ++stats_.dimms;
+  stats_.ce_records += trace.ces.size();
+  stats_.mem_events += trace.events.size();
+  stats_.ue_records += trace.ue ? 1 : 0;
+  stats_.suppressed_ces += trace.suppressed_ce_count;
 }
 
 ShardStats ShardWriter::finish() {

@@ -125,14 +125,18 @@ class ShardWriter {
   /// values (computed from the bytes just encoded, so callers folding
   /// determinism hashes don't pay a second encode).
   std::vector<std::uint64_t> append(std::span<const DimmTrace> traces);
-  /// One-record batch append.
-  std::uint64_t append(const DimmTrace& trace) {
-    return append(std::span<const DimmTrace>(&trace, 1)).front();
-  }
+  /// One-record append: the same frame writer as the batch, without the
+  /// pool hand-off or the hash vector.
+  std::uint64_t append(const DimmTrace& trace);
   /// Seals the shard and returns its stats. Must be called exactly once.
   ShardStats finish();
 
  private:
+  // Writes one encoded record's frame (length varint + payload) in record
+  // order and folds it into the region checksum and the stats.
+  void write_frame(const DimmTrace& trace,
+                   const std::vector<std::uint8_t>& payload);
+
   std::ofstream out_;
   std::string path_;
   ShardStats stats_;
