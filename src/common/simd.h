@@ -100,7 +100,7 @@ inline V vsplat(T x) {
 
 /// One function pointer per vectorized kernel. All entries are non-null in
 /// every table except the entries marked "Nullable" (the flat-ensemble
-/// block kernels and partition, which need AVX-512 gathers/compress-stores
+/// block kernel and partition, which need AVX-512 gathers/compress-stores
 /// to beat scalar); their callers keep a scalar fallback.
 ///
 /// Bit-exactness contracts (each entry must match the scalar lane exactly):
@@ -199,18 +199,6 @@ struct KernelTable {
                            const std::int32_t* depths, std::size_t trees,
                            const float* x_block, std::size_t cols, double init,
                            bool accumulate, double* out_block);
-
-  /// Nullable. Binned variant over a feature-major code matrix (codes[f *
-  /// rows + r]); packed node low 32 bits hold the bin threshold instead of
-  /// float bits. The caller must keep blocks whose 4-byte code gathers
-  /// could cross the end of `codes` (the last rows of the last feature) on
-  /// the scalar path.
-  void (*flat_binned_block)(const std::uint64_t* nodes, const double* values,
-                            const std::int32_t* roots,
-                            const std::int32_t* depths, std::size_t trees,
-                            const std::uint8_t* codes, std::size_t rows,
-                            std::size_t base_row, double init, bool accumulate,
-                            double* out_block);
 };
 
 // ---------------------------------------------------------------------------

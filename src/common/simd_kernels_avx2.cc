@@ -36,7 +36,6 @@ const KernelTable kAvx2Table = {
     generic::gemm_at<8>,
     gemm_bt_avx2,
     /*flat_float_block=*/nullptr,
-    /*flat_binned_block=*/nullptr,
 };
 
 }  // namespace

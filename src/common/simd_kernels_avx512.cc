@@ -1,6 +1,6 @@
-// AVX-512 lane: generic bodies at 512 bits plus the three gather/mask
-// kernels that need real intrinsics — the flat-ensemble block descents
-// (float and binned) and the compress-store partition. Compiled with
+// AVX-512 lane: generic bodies at 512 bits plus the two gather/mask
+// kernels that need real intrinsics — the flat-ensemble block descent and
+// the compress-store partition. Compiled with
 // -mavx512f -mavx512dq -mavx512bw -mavx512vl -ffp-contract=off when the
 // compiler supports them (src/common/CMakeLists.txt); the stub at the
 // bottom reports the lane unavailable otherwise.
@@ -95,7 +95,7 @@ inline void gather_node_halves(const __m512i idx[4], const std::uint64_t* nodes,
 }
 
 /// Re-packs one group's gathered halves into 16-lane words: lo = the low 32
-/// bits of each node (threshold bits or bin), hi = feature | delta << 16.
+/// bits of each node (threshold bits), hi = feature | delta << 16.
 struct NodeWords {
   __m512i lo;
   __m512i hi;
@@ -182,77 +182,6 @@ void flat_float_block_avx512(const std::uint64_t* nodes, const double* values,
   }
 }
 
-/// Binned descent: the packed node's low 32 bits hold the bin threshold
-/// and a row goes right iff code > bin (leaf bin 255 can never be
-/// exceeded by a uint8 code, so leaves stay parked). Code fetches are
-/// 4-byte gathers from the feature-major uint8 matrix at f * rows + row;
-/// the caller keeps any block whose gathers could cross the end of the
-/// codes buffer on the scalar path.
-void flat_binned_block_avx512(const std::uint64_t* nodes, const double* values,
-                              const std::int32_t* roots,
-                              const std::int32_t* depths, std::size_t trees,
-                              const std::uint8_t* codes, std::size_t rows,
-                              std::size_t base_row, double init,
-                              bool accumulate, double* out_block) {
-  const __m512i one = _mm512_set1_epi32(1);
-  const __m512i maskf = _mm512_set1_epi32(0xFFFF);
-  const __m512i mask_ff = _mm512_set1_epi32(0xFF);
-  const __m512i vrows = _mm512_set1_epi32(static_cast<std::int32_t>(rows));
-  alignas(64) std::int32_t rowidx[64];
-  for (int i = 0; i < 64; ++i) {
-    rowidx[i] = static_cast<std::int32_t>(base_row + static_cast<std::size_t>(i));
-  }
-  __m512i rv[4];
-  __m512d acc[8];
-  for (int g = 0; g < 4; ++g) rv[g] = _mm512_load_si512(rowidx + 16 * g);
-  const __m512d acc0 = _mm512_set1_pd(accumulate ? 0.0 : init);
-  for (int g = 0; g < 8; ++g) acc[g] = acc0;
-  for (std::size_t t = 0; t < trees; ++t) {
-    const std::int32_t depth = depths[t];
-    __m512i idx[4];
-    idx[0] = idx[1] = idx[2] = idx[3] = _mm512_set1_epi32(roots[t]);
-    for (std::int32_t level = 0; level < depth; ++level) {
-      __m512i m0[4], m1[4];
-      gather_node_halves(idx, nodes, m0, m1);
-      __mmask16 moved = 0;
-      for (int g = 0; g < 4; ++g) {
-        const NodeWords w = unpack_node_words(m0[g], m1[g]);
-        const __m512i bin = w.lo;
-        const __m512i f = _mm512_and_si512(w.hi, maskf);
-        const __m512i delta = _mm512_srli_epi32(w.hi, 16);
-        const __m512i coff =
-            _mm512_add_epi32(_mm512_mullo_epi32(f, vrows), rv[g]);
-        const __m512i code =
-            _mm512_and_si512(_mm512_i32gather_epi32(coff, codes, 1), mask_ff);
-        const __mmask16 m = _mm512_cmpgt_epi32_mask(code, bin);
-        const __m512i left = _mm512_add_epi32(idx[g], delta);
-        const __m512i next = _mm512_mask_add_epi32(left, m, left, one);
-        moved |= _mm512_cmpneq_epi32_mask(next, idx[g]);
-        idx[g] = next;
-      }
-      if (moved == 0) break;
-    }
-    for (int g = 0; g < 4; ++g) {
-      acc[2 * g] = _mm512_add_pd(
-          acc[2 * g],
-          _mm512_i32gather_pd(_mm512_castsi512_si256(idx[g]), values, 8));
-      acc[2 * g + 1] = _mm512_add_pd(
-          acc[2 * g + 1],
-          _mm512_i32gather_pd(_mm512_extracti64x4_epi64(idx[g], 1), values,
-                              8));
-    }
-  }
-  if (accumulate) {
-    for (int g = 0; g < 8; ++g) {
-      _mm512_storeu_pd(out_block + 8 * g,
-                       _mm512_add_pd(_mm512_loadu_pd(out_block + 8 * g),
-                                     acc[g]));
-    }
-  } else {
-    for (int g = 0; g < 8; ++g) _mm512_storeu_pd(out_block + 8 * g, acc[g]);
-  }
-}
-
 const KernelTable kAvx512Table = {
     Level::kAvx512,
     generic::hist_rowmajor,
@@ -267,7 +196,6 @@ const KernelTable kAvx512Table = {
     generic::gemm_at<16>,
     gemm_bt_avx512,
     flat_float_block_avx512,
-    flat_binned_block_avx512,
 };
 
 }  // namespace

@@ -36,7 +36,6 @@ const KernelTable kNeonTable = {
     generic::gemm_at<4>,
     gemm_bt_neon,
     /*flat_float_block=*/nullptr,
-    /*flat_binned_block=*/nullptr,
 };
 
 }  // namespace

@@ -216,7 +216,6 @@ const KernelTable kScalarTable = {
     gemm_at_scalar,
     gemm_bt_scalar,
     /*flat_float_block=*/nullptr,
-    /*flat_binned_block=*/nullptr,
 };
 
 }  // namespace

@@ -23,7 +23,6 @@ constexpr std::size_t kRowBlock = 64;
 struct NodeView {
   const std::int32_t* feature;
   const float* threshold;
-  const std::uint8_t* bin;
   const std::int32_t* left;
   const double* value;
   const std::int32_t* roots;
@@ -31,19 +30,20 @@ struct NodeView {
   std::size_t trees;
 };
 
-/// Scores one block of `n <= kRowBlock` rows starting at `base_row`.
-/// `right_offset(i, node)` returns 0 (descend left) or 1 (descend right) for
-/// block-local row i at a node, and must return 0 at a leaf — the leaf
-/// self-loop then makes extra levels no-ops, so the inner loop carries no
-/// per-row exit branch. A per-level `changed` fold stops the tree once every
-/// row in the block is parked on a leaf: the level count paid is the deepest
-/// leaf *these 64 rows* reach, not the tree's max depth (best-first trees
-/// grow deep, rarely-taken branches). Accumulation order is tree 0, 1, ... —
+/// Scores one block of `n <= kRowBlock` float rows (rows[i] is block-local
+/// row i) into out[base_row, base_row + n). A row descends right iff
+/// `!(x <= t)` — the walker's comparison for every float, NaN included —
+/// and the `t < inf` mask keeps it at 0 on a leaf, whose self-loop then
+/// makes extra levels no-ops, so the inner loop carries no per-row exit
+/// branch. A per-level `changed` fold stops the tree once every row in the
+/// block is parked on a leaf: the level count paid is the deepest leaf
+/// *these 64 rows* reach, not the tree's max depth (best-first trees grow
+/// deep, rarely-taken branches). Accumulation order is tree 0, 1, ... —
 /// exactly the pointer walker's.
-template <typename RightOffset>
-void score_block(const NodeView& v, std::size_t base_row, std::size_t n,
-                 double init, bool accumulate, double* out,
-                 const RightOffset& right_offset) {
+void score_block(const NodeView& v, const float* const* rows,
+                 std::size_t base_row, std::size_t n, double init,
+                 bool accumulate, double* out) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
   std::int32_t idx[kRowBlock];
   double acc[kRowBlock];
   for (std::size_t i = 0; i < n; ++i) acc[i] = accumulate ? 0.0 : init;
@@ -55,7 +55,12 @@ void score_block(const NodeView& v, std::size_t base_row, std::size_t n,
       std::int32_t changed = 0;
       for (std::size_t i = 0; i < n; ++i) {
         const std::int32_t node = idx[i];
-        const std::int32_t next = v.left[node] + right_offset(i, node);
+        const float threshold = v.threshold[node];
+        const float value = rows[i][v.feature[node]];
+        const std::int32_t next =
+            v.left[node] +
+            static_cast<std::int32_t>(static_cast<int>(!(value <= threshold)) &
+                                      static_cast<int>(threshold < kInf));
         changed |= next ^ node;
         idx[i] = next;
       }
@@ -150,10 +155,6 @@ FlatEnsemble FlatEnsemble::build(std::span<const Tree> trees,
 }
 
 void FlatEnsemble::pack() {
-  packed_.clear();
-  packed_binned_.clear();
-  packed_ok_ = false;
-  max_feature_ = 0;
   packed_.resize(feature_.size());
   for (std::size_t i = 0; i < feature_.size(); ++i) {
     const std::int64_t delta = static_cast<std::int64_t>(left_[i]) -
@@ -170,9 +171,7 @@ void FlatEnsemble::pack() {
     packed_[i] = static_cast<std::uint64_t>(tbits) |
                  (static_cast<std::uint64_t>(feature_[i]) << 32) |
                  (static_cast<std::uint64_t>(delta) << 48);
-    max_feature_ = std::max(max_feature_, feature_[i]);
   }
-  packed_ok_ = true;
 }
 
 double FlatEnsemble::predict_row(std::span<const float> features,
@@ -197,18 +196,17 @@ double FlatEnsemble::predict_row(std::span<const float> features,
   return acc;
 }
 
-void FlatEnsemble::score_float(const Matrix& x, double init, bool accumulate,
-                               std::span<double> out) const {
+void FlatEnsemble::score(const Matrix& x, double init, bool accumulate,
+                         std::span<double> out) const {
   MEMFP_CHECK_EQ(out.size(), x.rows());
-  constexpr float kInf = std::numeric_limits<float>::infinity();
-  const NodeView v{feature_.data(), threshold_.data(), bin_.data(),
-                   left_.data(),    value_.data(),     roots_.data(),
-                   depths_.data(),  roots_.size()};
+  const NodeView v{feature_.data(), threshold_.data(), left_.data(),
+                   value_.data(),   roots_.data(),     depths_.data(),
+                   roots_.size()};
   double* scores = out.data();
   // SIMD path for full blocks: the kernel computes i32 row offsets as
   // i * cols + feature, so cap cols where 63 * cols + f could overflow.
   const simd::KernelTable& kt = simd::kernels();
-  const bool use_simd = kt.flat_float_block != nullptr && packed_ok_ &&
+  const bool use_simd = kt.flat_float_block != nullptr && !packed_.empty() &&
                         x.cols() < (std::size_t{1} << 25);
   ThreadPool::global().parallel_for_chunks(
       x.rows(),
@@ -226,15 +224,7 @@ void FlatEnsemble::score_float(const Matrix& x, double init, bool accumulate,
           for (std::size_t i = 0; i < n; ++i) {
             rows[i] = x.row(bs + i).data();
           }
-          score_block(
-              v, bs, n, init, accumulate, scores,
-              [&](std::size_t i, std::int32_t node) -> std::int32_t {
-                const float t = v.threshold[node];
-                const float value = rows[i][v.feature[node]];
-                return static_cast<std::int32_t>(
-                    static_cast<int>(!(value <= t)) &
-                    static_cast<int>(t < kInf));
-              });
+          score_block(v, rows, bs, n, init, accumulate, scores);
         }
       },
       block_grain(x.rows()));
@@ -242,99 +232,11 @@ void FlatEnsemble::score_float(const Matrix& x, double init, bool accumulate,
 
 void FlatEnsemble::predict(const Matrix& x, double init,
                            std::span<double> out) const {
-  score_float(x, init, /*accumulate=*/false, out);
+  score(x, init, /*accumulate=*/false, out);
 }
 
 void FlatEnsemble::accumulate(const Matrix& x, std::span<double> out) const {
-  score_float(x, 0.0, /*accumulate=*/true, out);
-}
-
-bool FlatEnsemble::bind(const BinMapper& mapper) {
-  binned_ = false;
-  bin_.assign(feature_.size(), 255);
-  for (std::size_t i = 0; i < feature_.size(); ++i) {
-    if (left_[i] == static_cast<std::int32_t>(i)) continue;  // leaf: bin 255
-    const auto f = static_cast<std::size_t>(feature_[i]);
-    if (f >= mapper.features()) return false;
-    const float t = threshold_[i];
-    // bin(f, t) is the lower-bound index over the mapper's boundaries; the
-    // threshold is representable iff that boundary *is* t, and then
-    // `value <= t` <=> `code <= b` exactly for every float value.
-    const std::uint8_t b = mapper.bin(f, t);
-    if (static_cast<int>(b) + 1 >= mapper.bins(f)) return false;
-    if (mapper.threshold(f, static_cast<int>(b)) != t) return false;
-    bin_[i] = b;
-  }
-  binned_ = true;
-  // Binned flavour of the packed nodes: same feature/delta fields with the
-  // bin code in the low 32 bits instead of threshold bits.
-  packed_binned_.clear();
-  if (packed_ok_) {
-    packed_binned_.resize(feature_.size());
-    for (std::size_t i = 0; i < feature_.size(); ++i) {
-      const auto delta = static_cast<std::uint64_t>(
-          left_[i] - static_cast<std::int32_t>(i));
-      packed_binned_[i] = static_cast<std::uint64_t>(bin_[i]) |
-                          (static_cast<std::uint64_t>(feature_[i]) << 32) |
-                          (delta << 48);
-    }
-  }
-  return true;
-}
-
-void FlatEnsemble::score_binned(const std::uint8_t* codes, std::size_t rows,
-                                double init, bool accumulate,
-                                std::span<double> out) const {
-  MEMFP_CHECK(binned_)
-      << "flat ensemble: bind() a BinMapper before binned scoring";
-  MEMFP_CHECK_EQ(out.size(), rows);
-  const NodeView v{feature_.data(), threshold_.data(), bin_.data(),
-                   left_.data(),    value_.data(),     roots_.data(),
-                   depths_.data(),  roots_.size()};
-  double* scores = out.data();
-  // SIMD path needs f * rows + r to fit the kernel's i32 index math, and
-  // keeps blocks whose 4-byte code gathers could cross the end of the codes
-  // buffer (the very last rows) on the scalar loop.
-  const simd::KernelTable& kt = simd::kernels();
-  const bool use_simd =
-      kt.flat_binned_block != nullptr && !packed_binned_.empty() &&
-      static_cast<std::size_t>(max_feature_ + 1) * rows <
-          (std::size_t{1} << 31);
-  ThreadPool::global().parallel_for_chunks(
-      rows,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t bs = begin; bs < end; bs += kRowBlock) {
-          const std::size_t n = std::min(kRowBlock, end - bs);
-          if (use_simd && n == kRowBlock && bs + kRowBlock + 4 <= rows) {
-            kt.flat_binned_block(packed_binned_.data(), value_.data(),
-                                 roots_.data(), depths_.data(), roots_.size(),
-                                 codes, rows, bs, init, accumulate,
-                                 scores + bs);
-            continue;
-          }
-          // Leaf bin is 255, and no uint8 code exceeds 255, so a parked
-          // row's offset is always 0 — no float mask needed here.
-          score_block(
-              v, bs, n, init, accumulate, scores,
-              [&](std::size_t i, std::int32_t node) -> std::int32_t {
-                const auto f = static_cast<std::size_t>(v.feature[node]);
-                return static_cast<std::int32_t>(codes[f * rows + bs + i] >
-                                                 v.bin[node]);
-              });
-        }
-      },
-      block_grain(rows));
-}
-
-void FlatEnsemble::predict_binned(const std::uint8_t* codes, std::size_t rows,
-                                  double init, std::span<double> out) const {
-  score_binned(codes, rows, init, /*accumulate=*/false, out);
-}
-
-void FlatEnsemble::accumulate_binned(const std::uint8_t* codes,
-                                     std::size_t rows,
-                                     std::span<double> out) const {
-  score_binned(codes, rows, 0.0, /*accumulate=*/true, out);
+  score(x, 0.0, /*accumulate=*/true, out);
 }
 
 std::shared_ptr<const FlatEnsemble> LazyFlatEnsemble::get(

@@ -19,20 +19,9 @@
 // low-traffic branches (best-first trees) cost only the rows that take
 // them.
 //
-// Two inputs are supported:
-//  * float rows (a Matrix): compares the raw stored thresholds with the
-//    exact `<=` the pointer walker uses — flat output is bit-identical to
-//    Tree::predict by construction;
-//  * pre-binned uint8 codes (a BinnedDataset-style feature-major code
-//    matrix): bind() pre-quantizes each node threshold through the
-//    ensemble's BinMapper so traversal compares uint8 bin codes instead of
-//    floats. Quantization rule: node threshold t must equal a mapper bin
-//    boundary thresholds[f][b] exactly, and then `value <= t` <=>
-//    `code <= b` for every float value (BinMapper::bin is the lower-bound
-//    index over the same boundaries), so the binned path is exact — no
-//    float re-quantization drift. bind() refuses (returns false) if any
-//    node threshold is not representable, e.g. a model deserialized against
-//    a mapper fitted on different data.
+// Input is float rows (a Matrix), compared against the raw stored
+// thresholds with the exact `<=` the pointer walker uses, so flat output is
+// bit-identical to Tree::predict by construction.
 //
 // Shrinkage is baked in at compile time: build(trees, leaf_scale) stores
 // leaf_scale * leaf_value, the identical double product the GBDT walker
@@ -51,7 +40,6 @@
 #include <span>
 #include <vector>
 
-#include "ml/binning.h"
 #include "ml/dataset.h"
 #include "ml/decision_tree.h"
 
@@ -82,55 +70,31 @@ class FlatEnsemble {
   /// GBDT trainer to fold one new tree's contribution into running scores.
   void accumulate(const Matrix& x, std::span<double> out) const;
 
-  /// Pre-quantizes every internal node threshold through `mapper` so the
-  /// *_binned entry points can compare uint8 bin codes. Returns false (and
-  /// leaves the binned path disabled) if any node threshold is not exactly
-  /// a bin boundary of `mapper` — callers then keep using the float path.
-  bool bind(const BinMapper& mapper);
-  bool binned() const { return binned_; }
-
-  /// Batch scoring over a feature-major code matrix (column f occupies
-  /// codes[f * rows, (f + 1) * rows), as BinnedDataset stores it). Requires
-  /// a successful bind(); exact for any input binned through that mapper.
-  void predict_binned(const std::uint8_t* codes, std::size_t rows,
-                      double init, std::span<double> out) const;
-
-  /// Binned batch accumulation: out[r] += sum over trees.
-  void accumulate_binned(const std::uint8_t* codes, std::size_t rows,
-                         std::span<double> out) const;
-
  private:
-  void score_float(const Matrix& x, double init, bool accumulate,
-                   std::span<double> out) const;
-  void score_binned(const std::uint8_t* codes, std::size_t rows, double init,
-                    bool accumulate, std::span<double> out) const;
+  void score(const Matrix& x, double init, bool accumulate,
+             std::span<double> out) const;
 
   // SoA node arrays over all trees, level-ordered per tree with sibling
   // pairs adjacent: left_[i] is the absolute index of node i's left child
   // and the right child is left_[i] + 1. Leaves are self-loops (left_[i]
-  // == i) with threshold +inf / bin 255 and the pre-scaled leaf value.
+  // == i) with threshold +inf and the pre-scaled leaf value.
   std::vector<std::int32_t> feature_;
   std::vector<float> threshold_;
-  std::vector<std::uint8_t> bin_;  // quantized thresholds; valid after bind()
   std::vector<std::int32_t> left_;
   std::vector<double> value_;
   std::vector<std::int32_t> roots_;   // per-tree root node index
   std::vector<std::int32_t> depths_;  // per-tree max root->leaf edge count
   int max_depth_ = 0;
-  bool binned_ = false;
 
   /// Packs the SoA node arrays into one uint64 per node — float threshold
   /// bits | feature << 32 | (left_[i] - i) << 48 — the layout the SIMD block
-  /// kernels gather in a single 8-byte load (simd::KernelTable::
-  /// flat_float_block). Sets packed_ok_ = false (disabling the SIMD path,
+  /// kernel gathers in a single 8-byte load (simd::KernelTable::
+  /// flat_float_block). Leaves packed_ empty (disabling the SIMD path,
   /// scalar blocks still serve every call) if any left-child delta or
   /// feature id overflows its 16-bit field.
   void pack();
 
-  std::vector<std::uint64_t> packed_;         // valid iff packed_ok_
-  std::vector<std::uint64_t> packed_binned_;  // low 32 bits = bin; after bind()
-  bool packed_ok_ = false;
-  std::int32_t max_feature_ = 0;
+  std::vector<std::uint64_t> packed_;  // empty when the pack overflowed
 };
 
 /// Thread-safe lazily-compiled FlatEnsemble shared by a model's const

@@ -91,20 +91,14 @@ void Gbdt::fit(const Dataset& train, Rng& rng) {
     if (tree.leaves() <= 1) break;  // no useful split left
 
     // Per-round rescoring: fold only the new tree's contribution into the
-    // running scores, over the binned training codes — the tree's
-    // thresholds come from binned.mapper, so the uint8 comparison reaches
-    // the identical leaf as the float walk (no re-quantization drift), and
-    // shrinkage is baked into the flat leaf values, so each score gains the
-    // identical `learning_rate * leaf` double the old per-row walk added.
-    FlatEnsemble round_flat = FlatEnsemble::build({&tree, 1},
-                                                  params_.learning_rate);
-    if (round_flat.bind(binned.mapper)) {
-      round_flat.accumulate_binned(binned.codes.data(), binned.rows, score);
-    } else {
-      // Unreachable for a tree trained on `binned`; kept as the documented
-      // float fallback of the binned fast path.
-      round_flat.accumulate(train.x, score);
-    }
+    // running scores over the float training rows. Every split threshold is
+    // a boundary of binned.mapper, and BinMapper::bin is the lower-bound
+    // index over those boundaries, so `x <= threshold` picks the same child
+    // the tree was grown on for every row; shrinkage is baked into the flat
+    // leaf values, so each score gains exactly the `learning_rate * leaf`
+    // double the pointer walker computes.
+    FlatEnsemble::build({&tree, 1}, params_.learning_rate)
+        .accumulate(train.x, score);
     trees_.push_back(std::move(tree));
 
     if (val_count > 0) {

@@ -9,6 +9,13 @@
 namespace memfp::mlops {
 namespace {
 
+/// Cache-blocking factor: streams per serving cohort. A cohort advances
+/// through the whole tick range before the next cohort starts, so its
+/// extraction states stay cache-resident; larger cohorts fill inference
+/// batches better, smaller ones stay hotter. Purely a performance constant —
+/// results are byte-identical at any value.
+constexpr std::size_t kCohortStreams = 16;
+
 std::uint64_t fold_score(std::uint64_t h, dram::DimmId dimm, SimTime t,
                          double score) {
   h = sim::fnv1a_u64(h, static_cast<std::uint64_t>(dimm));
@@ -164,18 +171,18 @@ ServingEngine::ShardOutput ServingEngine::serve_shard(
   };
 
   // Cache-blocked sweep: cursors advance through the tick range in cohorts
-  // of kCohort streams, tick-major only within a cohort. A flat tick-major
+  // of kCohortStreams, tick-major only within a cohort. A flat tick-major
   // sweep over the whole shard touches every stream's extraction state
   // every tick (nothing stays cache-resident and serving runs slower than
   // the DIMM-major serial loop it batches for); a cohort's states fit in
   // cache across its whole tick range while cross-DIMM batches still fill.
   // Outcome replay order is per-cursor and independent of this loop order,
   // so the byte-identity contract is untouched.
-  const std::size_t cohort_size = std::max<std::size_t>(1, config_.cohort_streams);
-  for (std::size_t cohort = 0; cohort < cursors.size(); cohort += cohort_size) {
+  for (std::size_t cohort = 0; cohort < cursors.size();
+       cohort += kCohortStreams) {
     const auto cbegin = static_cast<std::uint32_t>(cohort);
     const auto cend = static_cast<std::uint32_t>(
-        std::min(cohort + cohort_size, cursors.size()));
+        std::min(cohort + kCohortStreams, cursors.size()));
   for (SimTime t = start; t <= end; t += cadence) {
     tick_t = t;
     const std::uint64_t t0 = config_.now_ns ? config_.now_ns() : 0;

@@ -1,7 +1,8 @@
 // Flattened ensemble inference engine (src/ml/flat_ensemble.*): locks the
-// pointer walker, the flat float path, the binned uint8 fast path and the
-// batch-parallel path to bit-identical predictions via FNV-1a hashes over
-// the raw score doubles, at 1/2/4 threads, through serialization
+// pointer walker, the flat single-row path and the batch-parallel path
+// (predict and the accumulate the GBDT trainer rescores with) to
+// bit-identical scores via FNV-1a hashes over the raw score doubles, at
+// 1/2/4 threads, on every SIMD lane for accumulate, through serialization
 // round-trips, and on degenerate trees (single leaf, max-depth chains).
 //
 // The reference hash is always computed from the pointer walker
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "ml/flat_ensemble.h"
 #include "ml/gbdt.h"
@@ -146,55 +148,37 @@ TEST(FlatEnsemble, SingleRowPredictMatchesWalker) {
   }
 }
 
-// The binned fast path must be *exact* on codes produced by the mapper the
-// trees were trained through — this is the no-float-requantization-drift
-// assertion behind the GBDT per-round rescoring.
-TEST(FlatEnsemble, BinnedFastPathMatchesFloatPathOnTrainingCodes) {
-  const Dataset d = make_data(700, 55);
-  const BinnedDataset binned = BinnedDataset::build(d);
-  const RandomForest forest = fitted_forest(d);
-  const Gbdt gbdt = fitted_gbdt(d);
-  const Json gbdt_json = gbdt.to_json();
-  const double base = gbdt_json.at("base_score").as_number();
-  const double lr = gbdt_json.at("learning_rate").as_number();
-
-  FlatEnsemble flat_forest = FlatEnsemble::build(forest.trees());
-  ASSERT_TRUE(flat_forest.bind(binned.mapper));
-  FlatEnsemble flat_gbdt = FlatEnsemble::build(gbdt.trees(), lr);
-  ASSERT_TRUE(flat_gbdt.bind(binned.mapper));
-
-  std::vector<double> from_floats(d.size()), from_codes(d.size());
-  for (int threads : {1, 2, 4}) {
-    ThreadPool::ScopedLimit cap(threads);
-    flat_forest.predict(d.x, 0.0, from_floats);
-    flat_forest.predict_binned(binned.codes.data(), binned.rows, 0.0,
-                               from_codes);
-    EXPECT_EQ(hash_scores(from_codes), hash_scores(from_floats))
-        << "forest at " << threads << " threads";
-    flat_gbdt.predict(d.x, base, from_floats);
-    flat_gbdt.predict_binned(binned.codes.data(), binned.rows, base,
-                             from_codes);
-    EXPECT_EQ(hash_scores(from_codes), hash_scores(from_floats))
-        << "gbdt at " << threads << " threads";
-  }
-}
-
+// The GBDT trainer folds every new tree into its running scores through
+// accumulate(), so `+=` must add exactly the predicted sum on every SIMD
+// lane (the AVX-512 block kernel's accumulate branch included) and at any
+// thread count. Rows start from distinct offsets so a kernel that stored
+// instead of adding would show.
 TEST(FlatEnsemble, AccumulateAddsExactlyThePredictedSum) {
   const Dataset d = make_data(300, 21);
-  const BinnedDataset binned = BinnedDataset::build(d);
   const Gbdt gbdt = fitted_gbdt(d);
   const double lr = gbdt.to_json().at("learning_rate").as_number();
-  FlatEnsemble flat = FlatEnsemble::build(gbdt.trees(), lr);
-  ASSERT_TRUE(flat.bind(binned.mapper));
+  const FlatEnsemble flat = FlatEnsemble::build(gbdt.trees(), lr);
 
   std::vector<double> predicted(d.size());
-  flat.predict(d.x, 0.0, predicted);
-  std::vector<double> accumulated(d.size(), 0.0);
-  flat.accumulate(d.x, accumulated);
-  EXPECT_EQ(hash_scores(accumulated), hash_scores(predicted));
-  std::fill(accumulated.begin(), accumulated.end(), 0.0);
-  flat.accumulate_binned(binned.codes.data(), binned.rows, accumulated);
-  EXPECT_EQ(hash_scores(accumulated), hash_scores(predicted));
+  {
+    simd::ScopedLevel scalar(simd::Level::kScalar);
+    flat.predict(d.x, 0.0, predicted);
+  }
+  std::vector<double> offset(d.size()), expected(d.size());
+  for (std::size_t r = 0; r < d.size(); ++r) {
+    offset[r] = 0.25 * static_cast<double>(r % 7) - 0.5;
+    expected[r] = offset[r] + predicted[r];
+  }
+  for (simd::Level level : simd::supported_levels()) {
+    simd::ScopedLevel active(level);
+    for (int threads : {1, 2, 4}) {
+      ThreadPool::ScopedLimit cap(threads);
+      std::vector<double> accumulated = offset;
+      flat.accumulate(d.x, accumulated);
+      EXPECT_EQ(hash_scores(accumulated), hash_scores(expected))
+          << simd::level_name(level) << " at " << threads << " threads";
+    }
+  }
 }
 
 TEST(FlatEnsemble, SerializationRoundTripPredictsIdentically) {
@@ -273,26 +257,6 @@ TEST(FlatEnsemble, MaxDepthChainMatchesWalkerLevelForLevel) {
       EXPECT_EQ(flat.predict_row(x.row(r), 0.0), chain.predict(x.row(r)));
     }
   }
-}
-
-TEST(FlatEnsemble, BindRejectsThresholdsTheMapperCannotRepresent) {
-  // Mapper boundaries for integer-valued columns sit at k + 0.5; a chain
-  // tree's -10 + 0.5k thresholds never coincide, so the exactness proof
-  // fails and bind() must refuse rather than quantize with drift.
-  Dataset d;
-  Rng rng(5);
-  for (std::size_t i = 0; i < 64; ++i) {
-    d.x.push_row(std::vector<float>{static_cast<float>(rng.uniform_u64(10))});
-    d.y.push_back(static_cast<int>(i % 2));
-    d.weight.push_back(1.0f);
-    d.dimm.push_back(static_cast<dram::DimmId>(i));
-    d.time.push_back(0);
-  }
-  const BinnedDataset binned = BinnedDataset::build(d);
-  const Tree chain = chain_tree(8);
-  FlatEnsemble flat = FlatEnsemble::build({&chain, 1});
-  EXPECT_FALSE(flat.bind(binned.mapper));
-  EXPECT_FALSE(flat.binned());
 }
 
 TEST(FlatEnsemble, LazyCacheRebuildsAfterInvalidate) {

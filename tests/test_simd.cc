@@ -1,8 +1,8 @@
 // Runtime SIMD dispatch (src/common/simd.*): the dispatcher must expose
 // every lane the host can run, and every lane must be *unobservable* in
-// results — forest/GBDT training, flat float and binned inference, gemm,
-// binning and histogram fills are pinned bit-identical to the scalar
-// reference lane via FNV-1a hashes and bitwise compares, at 1/2/4 threads.
+// results — forest/GBDT training, flat ensemble inference, gemm, binning
+// and histogram fills are pinned bit-identical to the scalar reference lane
+// via FNV-1a hashes and bitwise compares, at 1/2/4 threads.
 // The near-buffer-end partition cases double as the overread guard's ASan
 // exercise (check.sh's asan leg runs this binary).
 #include <gtest/gtest.h>
@@ -26,7 +26,6 @@
 namespace memfp::simd {
 namespace {
 
-using memfp::ml::BinnedDataset;
 using memfp::ml::Dataset;
 using memfp::ml::FlatEnsemble;
 using memfp::ml::Gbdt;
@@ -205,37 +204,6 @@ TEST(SimdGolden, GbdtFitAndPredictIdenticalOnEveryLane) {
       EXPECT_EQ(model.to_json().dump(), golden_model)
           << level_name(level) << " at " << threads << " threads";
       EXPECT_EQ(hash_scores(model.predict_batch(test.x)), golden_scores)
-          << level_name(level) << " at " << threads << " threads";
-    }
-  }
-}
-
-TEST(SimdGolden, BinnedInferenceIdenticalOnEveryLane) {
-  const Dataset train = make_data(600, 41);
-  RandomForestParams params;
-  params.trees = 8;
-  RandomForest model(params);
-  memfp::Rng rng(9);
-  model.fit(train, rng);
-
-  // Bind against the training mapper and score the training codes: exact
-  // by the bind() quantization rule, so every lane must agree bitwise.
-  const BinnedDataset binned = BinnedDataset::build(train);
-  FlatEnsemble flat = FlatEnsemble::build(model.trees(), 1.0);
-  ASSERT_TRUE(flat.bind(binned.mapper));
-
-  std::vector<double> golden(train.size());
-  {
-    ScopedLevel scalar(Level::kScalar);
-    flat.predict_binned(binned.codes.data(), binned.rows, 0.0, golden);
-  }
-  for (Level level : supported_levels()) {
-    ScopedLevel active(level);
-    for (int threads : {1, 2, 4}) {
-      memfp::ThreadPool::ScopedLimit cap(threads);
-      std::vector<double> scores(train.size());
-      flat.predict_binned(binned.codes.data(), binned.rows, 0.0, scores);
-      EXPECT_EQ(hash_scores(scores), hash_scores(golden))
           << level_name(level) << " at " << threads << " threads";
     }
   }

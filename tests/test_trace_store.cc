@@ -359,9 +359,8 @@ TEST(TraceStoreDeathTest, OversizeFrameLengthRejected) {
     for (int i = 0; i < 8; ++i) out.push_back((v >> (8 * i)) & 0xff);
   };
 
-  std::vector<std::uint8_t> file;
-  const char header_magic[8] = {'M', 'F', 'T', 'S', 'H', 'R', 'D', '1'};
-  file.insert(file.end(), header_magic, header_magic + 8);
+  std::vector<std::uint8_t> file = {'M', 'F', 'T', 'S',
+                                    'H', 'R', 'D', '1'};  // header magic
   push_u32(file, 1);                        // format version
   file.insert(file.end(), 4, 0);            // platform + padding
   push_u64(file, 0);                        // horizon
