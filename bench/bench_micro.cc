@@ -473,12 +473,10 @@ void BM_ScoreDimms(benchmark::State& state) {
     return fitted.second.release();
   }();
   ThreadPool::ScopedLimit cap(static_cast<int>(state.range(0)));
-  std::vector<core::ScoredStream> streams;
-  std::vector<core::AlarmOutcome> outcomes;
   for (auto _ : state) {
-    experiment->score_dimms(*model, experiment->test_dimms(), streams,
-                            outcomes, nullptr, nullptr);
-    benchmark::DoNotOptimize(streams.size());
+    const core::Experiment::ScoredDimms scored =
+        experiment->score_dimms(*model, experiment->test_dimms());
+    benchmark::DoNotOptimize(scored.streams.scores.data());
   }
 }
 BENCHMARK(BM_ScoreDimms)->Apply(thread_args)->Unit(benchmark::kMillisecond);

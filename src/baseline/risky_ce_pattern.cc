@@ -123,9 +123,7 @@ void RiskyCePattern::fit(const std::vector<const sim::DimmTrace*>& train) {
         const sim::DimmTrace& trace = replay.trace();
         const std::optional<SimTime> alarm = replay.first_alarm(rule);
         if (trace.predictable_ue()) {
-          const SimTime ue = trace.ue->time;
-          const bool timely = alarm && ue - *alarm >= windows_.lead &&
-                              ue - *alarm <= windows_.lead + windows_.prediction;
+          const bool timely = alarm && windows_.timely(*alarm, trace.ue->time);
           if (timely) ++tp;
           else ++fn;
           if (alarm && !timely) ++fp;  // fired outside the valid window

@@ -36,7 +36,6 @@ class Json {
   Json(JsonObject o) : type_(Type::kObject), object_(std::move(o)) {}
 
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
 
   /// Typed accessors; throw std::runtime_error on type mismatch.
   bool as_bool() const;

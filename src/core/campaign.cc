@@ -62,62 +62,6 @@ StageCounters counter_delta(const StageCounters& before,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// ScoreStreamSet
-// ---------------------------------------------------------------------------
-
-std::vector<std::optional<SimTime>> ScoreStreamSet::first_alarms(
-    std::span<const double> thresholds) const {
-  const std::size_t n = streams();
-  const std::size_t t = thresholds.size();
-  std::vector<std::optional<SimTime>> out(n * t);
-  if (t == 0 || n == 0) return out;
-
-  // Thresholds in descending order: the set a score event latches —
-  // every still-unlatched threshold <= score — is then a contiguous range
-  // ending at the previous latch boundary, so one pass per stream latches
-  // all T thresholds with one binary search per event.
-  std::vector<std::size_t> order(t);
-  for (std::size_t i = 0; i < t; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return thresholds[a] > thresholds[b];
-                   });
-  std::vector<double> sorted(t);
-  for (std::size_t i = 0; i < t; ++i) sorted[i] = thresholds[order[i]];
-
-  for (std::size_t s = 0; s < n; ++s) {
-    std::size_t boundary = t;  // order[boundary..t) already latched
-    for (std::size_t r = offsets[s]; r < offsets[s + 1] && boundary > 0;
-         ++r) {
-      const double score = scores[r];
-      // First index whose threshold <= score. The <= (not <) comparison is
-      // the tie rule: a score exactly at the threshold alarms, matching
-      // ScoredStream::first_alarm and the serving-layer latch.
-      const auto first = std::partition_point(
-          sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(boundary),
-          [&](double threshold) { return threshold > score; });
-      const auto j = static_cast<std::size_t>(first - sorted.begin());
-      for (std::size_t k = j; k < boundary; ++k) {
-        out[order[k] * n + s] = times[r];
-      }
-      boundary = j;
-    }
-  }
-  return out;
-}
-
-ScoredStream ScoreStreamSet::stream(std::size_t s) const {
-  MEMFP_CHECK_LT(s, streams());
-  ScoredStream stream;
-  stream.times.assign(times.begin() + static_cast<std::ptrdiff_t>(offsets[s]),
-                      times.begin() + static_cast<std::ptrdiff_t>(offsets[s + 1]));
-  stream.scores.assign(
-      scores.begin() + static_cast<std::ptrdiff_t>(offsets[s]),
-      scores.begin() + static_cast<std::ptrdiff_t>(offsets[s + 1]));
-  return stream;
-}
-
-// ---------------------------------------------------------------------------
 // Result hashing
 // ---------------------------------------------------------------------------
 
@@ -485,16 +429,14 @@ std::shared_ptr<const CampaignEngine::ScoreArtifact> CampaignEngine::run_score(
     // artifact — every policy deriving its threshold from the tuned point
     // reuses this value. Tuning is model level in both protocols: the
     // predictor is tuned for the UEs it can see.
-    const std::size_t val_streams = artifact->val.streams();
-    std::vector<ScoredStream> streams(val_streams);
-    std::vector<AlarmOutcome> outcomes(val_streams);
-    for (std::size_t i = 0; i < val_streams; ++i) {
-      streams[i] = artifact->val.stream(i);
-      outcomes[i] = ground_truth(parts.fleet->dimms[artifact->val_dimm[i]],
-                                 GroundTruth::kPredictableUe);
+    std::vector<AlarmOutcome> outcomes;
+    outcomes.reserve(artifact->val_dimm.size());
+    for (const std::size_t g : artifact->val_dimm) {
+      outcomes.push_back(
+          ground_truth(parts.fleet->dimms[g], GroundTruth::kPredictableUe));
     }
     artifact->tuned_threshold =
-        tune_threshold(streams, outcomes, predictor.windows);
+        tune_threshold(artifact->val, outcomes, predictor.windows);
     return artifact;
   });
 }

@@ -16,10 +16,11 @@
 // simulates each distinct (scenario, ECC) once, extracts each distinct
 // (trace, window-config) once, and the alarm-threshold/policy axis collapses
 // to one vectorized multi-threshold sweep over the cached score streams
-// (SoA arrays, one pass per score artifact) instead of per-threshold
-// replays. Cached and uncached paths are byte-identical — the campaign hash
-// folds every point's result and must not depend on sharing, thread count,
-// or visit order (tests/test_campaign.cc). The split, downsampling and
+// (evaluation.h's SoA ScoreStreamSet, one pass per score artifact) instead
+// of per-threshold replays; the threshold is tuned on the same streams.
+// Cached and uncached paths are byte-identical — the campaign hash folds
+// every point's result and must not depend on sharing, thread count, or
+// visit order (tests/test_campaign.cc). The split, downsampling and
 // ground-truth rule are core/protocol.h's, shared with Experiment.
 //
 // Lives in core because it stitches sim + features + ml + mlops policy
@@ -107,33 +108,6 @@ struct CampaignSpec {
     return scenarios.size() * eccs.size() * predictors.size() *
            policies.size();
   }
-};
-
-// ---------------------------------------------------------------------------
-// Score streams (SoA) and the vectorized threshold sweep
-// ---------------------------------------------------------------------------
-
-/// Per-DIMM score streams in flat SoA layout (flat_ensemble-style): stream s
-/// owns [offsets[s], offsets[s+1]) of `times`/`scores`. This is the cached
-/// score artifact the whole policy axis evaluates against.
-struct ScoreStreamSet {
-  std::vector<std::size_t> offsets{0};
-  std::vector<SimTime> times;
-  std::vector<double> scores;
-
-  std::size_t streams() const { return offsets.size() - 1; }
-
-  /// First alarm of every (threshold, stream) pair in ONE pass per stream:
-  /// thresholds are visited in descending order, so the set a score event
-  /// latches is always a contiguous suffix and each event costs one binary
-  /// search. Output is indexed out[t * streams() + s]. Tie rule: a score
-  /// exactly at the threshold alarms (score >= threshold), identical to
-  /// ScoredStream::first_alarm and the serving-layer latch.
-  std::vector<std::optional<SimTime>> first_alarms(
-      std::span<const double> thresholds) const;
-
-  /// AoS view of one stream (the scalar/naive path and tune_threshold).
-  ScoredStream stream(std::size_t s) const;
 };
 
 // ---------------------------------------------------------------------------

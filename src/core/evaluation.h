@@ -7,6 +7,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/time.h"
@@ -22,23 +23,38 @@ struct AlarmOutcome {
   std::optional<SimTime> alarm;
 };
 
+/// Adds one DIMM's outcome to `c` under the window rules: a positive's
+/// timely alarm is TP; a positive without one is FN, plus FP when it did
+/// alarm (the migration was still spent); a negative is FP or TN.
+void classify(const AlarmOutcome& outcome,
+              const features::PredictionWindows& windows, ml::Confusion& c);
+
 /// Classifies alarm outcomes into a confusion matrix under the window rules.
 ml::Confusion dimm_confusion(const std::vector<AlarmOutcome>& outcomes,
                              const features::PredictionWindows& windows);
 
-/// A scored telemetry stream of one DIMM (times ascending).
-struct ScoredStream {
+/// Per-DIMM score streams (times ascending) in flat SoA layout: stream s
+/// owns [offsets[s], offsets[s+1]) of `times`/`scores`.
+struct ScoreStreamSet {
+  std::vector<std::size_t> offsets{0};
   std::vector<SimTime> times;
   std::vector<double> scores;
 
-  /// First crossing of `threshold`; nullopt when never crossed.
-  std::optional<SimTime> first_alarm(double threshold) const;
-  double max_score() const;
+  std::size_t streams() const { return offsets.size() - 1; }
+
+  /// First alarm of every (threshold, stream) pair in ONE pass per stream:
+  /// thresholds are visited in descending order, so the set a score event
+  /// latches is always a contiguous suffix and each event costs one binary
+  /// search. Output is indexed out[t * streams() + s]. Tie rule: a score
+  /// exactly at the threshold alarms (score >= threshold), identical to the
+  /// serving-layer latch.
+  std::vector<std::optional<SimTime>> first_alarms(
+      std::span<const double> thresholds) const;
 };
 
 /// Picks the threshold maximizing DIMM-level F1 over validation streams.
 /// Candidates are the distinct per-DIMM maximum scores.
-double tune_threshold(const std::vector<ScoredStream>& streams,
+double tune_threshold(const ScoreStreamSet& streams,
                       const std::vector<AlarmOutcome>& outcomes_template,
                       const features::PredictionWindows& windows);
 

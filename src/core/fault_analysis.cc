@@ -175,32 +175,20 @@ std::vector<FaultClassAttribution> attribute_outcomes(
     const std::vector<AlarmOutcome>& outcomes,
     const features::PredictionWindows& windows) {
   std::vector<FaultClassAttribution> table(kFaultClassCount);
-  for (std::size_t c = 0; c < kFaultClassCount; ++c) {
-    table[c].fault_class = static_cast<FaultClass>(c);
-  }
+  std::vector<ml::Confusion> counts(kFaultClassCount);
   const std::size_t n = std::min(classes.size(), outcomes.size());
   for (std::size_t i = 0; i < n; ++i) {
-    FaultClassAttribution& row = table[static_cast<std::size_t>(classes[i])];
-    const AlarmOutcome& outcome = outcomes[i];
-    ++row.dimms;
-    if (outcome.positive) {
-      const bool timely =
-          outcome.alarm &&
-          outcome.ue_time - *outcome.alarm >= windows.lead &&
-          outcome.ue_time - *outcome.alarm <= windows.lead + windows.prediction;
-      if (timely) {
-        ++row.true_positives;
-      } else {
-        ++row.false_negatives;
-        if (outcome.alarm) ++row.false_positives;
-      }
-    } else if (outcome.alarm) {
-      ++row.false_positives;
-    } else {
-      ++row.true_negatives;
-    }
+    const auto c = static_cast<std::size_t>(classes[i]);
+    ++table[c].dimms;
+    classify(outcomes[i], windows, counts[c]);
   }
-  for (FaultClassAttribution& row : table) {
+  for (std::size_t c = 0; c < kFaultClassCount; ++c) {
+    FaultClassAttribution& row = table[c];
+    row.fault_class = static_cast<FaultClass>(c);
+    row.true_positives = counts[c].tp;
+    row.false_negatives = counts[c].fn;
+    row.false_positives = counts[c].fp;
+    row.true_negatives = counts[c].tn;
     const std::size_t positives = row.true_positives + row.false_negatives;
     if (positives > 0) {
       row.fn_rate = static_cast<double>(row.false_negatives) /

@@ -98,11 +98,10 @@ struct FaultClassAttribution {
   double fp_rate = 0.0;  ///< FP / negative DIMMs of the class
 };
 
-/// Joins per-DIMM alarm outcomes with their fault classes under the same
-/// lead/validity window rules as dimm_confusion (a late alarm on a positive
-/// counts both FN and FP). `classes` and `outcomes` are parallel arrays.
-/// Returns kFaultClassCount rows in enum order; absent classes keep
-/// dimms == 0.
+/// Joins per-DIMM alarm outcomes with their fault classes, counting each
+/// DIMM with classify (a late alarm on a positive counts both FN and FP).
+/// `classes` and `outcomes` are parallel arrays. Returns kFaultClassCount
+/// rows in enum order; absent classes keep dimms == 0.
 std::vector<FaultClassAttribution> attribute_outcomes(
     const std::vector<FaultClass>& classes,
     const std::vector<AlarmOutcome>& outcomes,

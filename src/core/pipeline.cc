@@ -1,6 +1,7 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -47,6 +48,17 @@ namespace {
 
 /// The Experiment's ground-truth rule (the Table II numbers).
 constexpr GroundTruth kModelLevel = GroundTruth::kPredictableUe;
+
+/// Model-level ground truth of each DIMM; alarms are left unset.
+std::vector<AlarmOutcome> outcomes_of(
+    const std::vector<const sim::DimmTrace*>& dimms) {
+  std::vector<AlarmOutcome> outcomes;
+  outcomes.reserve(dimms.size());
+  for (const sim::DimmTrace* dimm : dimms) {
+    outcomes.push_back(ground_truth(DimmFacts::of(*dimm), kModelLevel));
+  }
+  return outcomes;
+}
 
 features::PredictionWindows with_cadence(features::PredictionWindows windows,
                                          SimDuration cadence) {
@@ -136,58 +148,49 @@ void Experiment::project(std::vector<features::Sample>& samples) const {
   }
 }
 
-void Experiment::score_dimms(const ml::BinaryClassifier& model,
-                             const std::vector<const sim::DimmTrace*>& dimms,
-                             std::vector<ScoredStream>& streams,
-                             std::vector<AlarmOutcome>& outcomes,
-                             std::vector<double>* pooled_scores,
-                             std::vector<int>* pooled_labels) const {
-  streams.assign(dimms.size(), {});
-  outcomes.assign(dimms.size(), {});
-  std::vector<std::vector<double>> dimm_scores(
-      pooled_scores ? dimms.size() : 0);
-  std::vector<std::vector<int>> dimm_labels(pooled_labels ? dimms.size() : 0);
-
+Experiment::ScoredDimms Experiment::score_dimms(
+    const ml::BinaryClassifier& model,
+    const std::vector<const sim::DimmTrace*>& dimms) const {
+  struct DimmScores {
+    std::vector<SimTime> times;
+    std::vector<double> scores;
+    std::vector<int> labels;
+  };
+  std::vector<DimmScores> per_dimm(dimms.size());
   ThreadPool::ScopedLimit limit(config_.num_threads);
   ThreadPool::global().parallel_for(
       dimms.size(),
       [&](std::size_t d) {
-        const sim::DimmTrace* dimm = dimms[d];
         std::vector<features::Sample> samples =
-            eval_extractor_.extract(*dimm, fleet_->horizon);
+            eval_extractor_.extract(*dimms[d], fleet_->horizon);
         project(samples);
-        ScoredStream stream;
+        DimmScores& out = per_dimm[d];
         ml::Matrix x;
         for (const features::Sample& sample : samples) {
-          stream.times.push_back(sample.time);
+          out.times.push_back(sample.time);
+          out.labels.push_back(sample.label);
           x.push_row(sample.features);
         }
         // predict_batch dispatches to the flat batched engine for the tree
         // ensembles (FlatEnsemble) — same scores, one pass over x.
-        stream.scores = x.rows() > 0 ? model.predict_batch(x)
-                                     : std::vector<double>{};
-        if (pooled_scores) {
-          for (std::size_t i = 0; i < samples.size(); ++i) {
-            if (samples[i].label < 0) continue;
-            dimm_scores[d].push_back(stream.scores[i]);
-            dimm_labels[d].push_back(samples[i].label);
-          }
-        }
-        streams[d] = std::move(stream);
-        outcomes[d] = ground_truth(DimmFacts::of(*dimm), kModelLevel);
+        if (x.rows() > 0) out.scores = model.predict_batch(x);
       },
       /*grain=*/1);
 
-  // Ordered merge: pooled vectors are concatenated in DIMM order, exactly as
-  // the serial loop appended them.
-  if (pooled_scores) {
-    for (std::size_t d = 0; d < dimms.size(); ++d) {
-      pooled_scores->insert(pooled_scores->end(), dimm_scores[d].begin(),
-                            dimm_scores[d].end());
-      pooled_labels->insert(pooled_labels->end(), dimm_labels[d].begin(),
-                            dimm_labels[d].end());
-    }
+  // Ordered merge: streams are appended in DIMM order, exactly as the
+  // serial loop appended them.
+  ScoredDimms scored;
+  ScoreStreamSet& streams = scored.streams;
+  for (const DimmScores& dimm : per_dimm) {
+    streams.times.insert(streams.times.end(), dimm.times.begin(),
+                         dimm.times.end());
+    streams.scores.insert(streams.scores.end(), dimm.scores.begin(),
+                          dimm.scores.end());
+    streams.offsets.push_back(streams.times.size());
+    scored.labels.insert(scored.labels.end(), dimm.labels.begin(),
+                         dimm.labels.end());
   }
+  return scored;
 }
 
 Experiment::Result Experiment::run(Algorithm algorithm) {
@@ -210,27 +213,30 @@ Experiment::run_with_model(Algorithm algorithm) {
   model->fit(train_set_, rng);
 
   // Threshold tuning on the validation DIMMs.
-  std::vector<ScoredStream> val_streams;
-  std::vector<AlarmOutcome> val_outcomes;
-  score_dimms(*model, val_dimms_, val_streams, val_outcomes, nullptr, nullptr);
-  result.threshold =
-      tune_threshold(val_streams, val_outcomes, config_.windows);
+  result.threshold = tune_threshold(score_dimms(*model, val_dimms_).streams,
+                                    outcomes_of(val_dimms_), config_.windows);
 
   // Held-out evaluation.
-  std::vector<ScoredStream> test_streams;
-  std::vector<AlarmOutcome> test_outcomes;
-  std::vector<double> pooled_scores;
-  std::vector<int> pooled_labels;
-  score_dimms(*model, test_dimms_, test_streams, test_outcomes,
-              &pooled_scores, &pooled_labels);
-  for (std::size_t i = 0; i < test_streams.size(); ++i) {
-    test_outcomes[i].alarm = test_streams[i].first_alarm(result.threshold);
+  const ScoredDimms test = score_dimms(*model, test_dimms_);
+  std::vector<AlarmOutcome> outcomes = outcomes_of(test_dimms_);
+  const std::vector<std::optional<SimTime>> alarms =
+      test.streams.first_alarms({&result.threshold, 1});
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    outcomes[i].alarm = alarms[i];
   }
-  result.confusion = dimm_confusion(test_outcomes, config_.windows);
+  result.confusion = dimm_confusion(outcomes, config_.windows);
   result.precision = result.confusion.precision();
   result.recall = result.confusion.recall();
   result.f1 = result.confusion.f1();
   result.virr = result.confusion.virr();
+  // Pooled over the labelled test samples; the ambiguous ones (-1) are out.
+  std::vector<double> pooled_scores;
+  std::vector<int> pooled_labels;
+  for (std::size_t r = 0; r < test.labels.size(); ++r) {
+    if (test.labels[r] < 0) continue;
+    pooled_scores.push_back(test.streams.scores[r]);
+    pooled_labels.push_back(test.labels[r]);
+  }
   result.sample_pr_auc = ml::pr_auc(pooled_scores, pooled_labels);
   return {std::move(result), std::move(model)};
 }
@@ -248,11 +254,9 @@ Experiment::Result Experiment::run_risky_baseline() {
   fit_dimms.insert(fit_dimms.end(), val_dimms_.begin(), val_dimms_.end());
   baseline.fit(fit_dimms);
 
-  std::vector<AlarmOutcome> outcomes;
-  for (const sim::DimmTrace* dimm : test_dimms_) {
-    AlarmOutcome outcome = ground_truth(DimmFacts::of(*dimm), kModelLevel);
-    outcome.alarm = baseline.first_alarm(*dimm);
-    outcomes.push_back(outcome);
+  std::vector<AlarmOutcome> outcomes = outcomes_of(test_dimms_);
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    outcomes[i].alarm = baseline.first_alarm(*test_dimms_[i]);
   }
   result.confusion = dimm_confusion(outcomes, config_.windows);
   result.precision = result.confusion.precision();

@@ -77,16 +77,22 @@ class Experiment {
     return test_dimms_;
   }
 
-  /// Scores every eval-cadence sample of `dimms`; fills streams + outcomes.
-  /// One pool task per DIMM; streams, outcomes and the pooled score/label
-  /// vectors are merged in DIMM order, so confusion counts and tuned
-  /// thresholds are bit-identical to the serial path at any thread count.
-  void score_dimms(const ml::BinaryClassifier& model,
-                   const std::vector<const sim::DimmTrace*>& dimms,
-                   std::vector<ScoredStream>& streams,
-                   std::vector<AlarmOutcome>& outcomes,
-                   std::vector<double>* pooled_scores,
-                   std::vector<int>* pooled_labels) const;
+  /// Every eval-cadence sample of `dimms`, scored: stream i is dimms[i]'s,
+  /// and labels[r] is the label of the sample scored at streams.scores[r]
+  /// (-1 = ambiguous, see PredictionWindows::label_for).
+  struct ScoredDimms {
+    ScoreStreamSet streams;
+    std::vector<int> labels;
+  };
+
+  /// One pool task per DIMM, not one fleet-wide predict_batch: the
+  /// FT-Transformer scores a batch serially, so per-DIMM tasks keep every
+  /// model's scoring parallel. Streams and labels are merged in DIMM order,
+  /// so confusion counts and tuned thresholds are bit-identical to the
+  /// serial path at any thread count.
+  ScoredDimms score_dimms(
+      const ml::BinaryClassifier& model,
+      const std::vector<const sim::DimmTrace*>& dimms) const;
 
  private:
   Result run_risky_baseline();

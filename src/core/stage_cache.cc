@@ -4,20 +4,6 @@
 
 namespace memfp::core {
 
-const char* stage_name(Stage stage) {
-  switch (stage) {
-    case Stage::kSimulate:
-      return "simulate";
-    case Stage::kExtract:
-      return "extract";
-    case Stage::kTrain:
-      return "train";
-    case Stage::kScore:
-      return "score";
-  }
-  return "?";
-}
-
 StageKey& StageKey::mix_double(double value) {
   // +0.0 and -0.0 compare equal but differ in bits; canonicalize so configs
   // that compare equal key equal.

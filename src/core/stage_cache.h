@@ -29,8 +29,6 @@ namespace memfp::core {
 enum class Stage { kSimulate = 0, kExtract, kTrain, kScore };
 inline constexpr std::size_t kStageCount = 4;
 
-const char* stage_name(Stage stage);
-
 /// FNV-1a fold builder for stage keys. Callers mix in exactly the config
 /// axes the stage depends on (plus a format-version salt), in a fixed field
 /// order; strings are length-prefixed so adjacent fields cannot collide by

@@ -73,22 +73,6 @@ std::unique_ptr<EccScheme> make_platform_ecc(Platform platform) {
   return nullptr;
 }
 
-const char* ecc_choice_name(EccChoice choice) {
-  switch (choice) {
-    case EccChoice::kPlatform:
-      return "platform";
-    case EccChoice::kSecDed:
-      return "sec-ded";
-    case EccChoice::kChipkillSddc:
-      return "chipkill-sddc";
-    case EccChoice::kPurley:
-      return "purley-sddc";
-    case EccChoice::kWhitley:
-      return "whitley-sddc";
-  }
-  return "?";
-}
-
 std::unique_ptr<EccScheme> make_ecc(EccChoice choice, Platform platform) {
   switch (choice) {
     case EccChoice::kPlatform:

@@ -100,8 +100,6 @@ enum class EccChoice {
   kWhitley,
 };
 
-const char* ecc_choice_name(EccChoice choice);
-
 /// Builds the chosen scheme; kPlatform defers to make_platform_ecc.
 std::unique_ptr<EccScheme> make_ecc(EccChoice choice, Platform platform);
 

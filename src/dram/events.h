@@ -36,8 +36,6 @@ struct UeEvent {
 /// BMC-side memory events beyond raw errors.
 enum class MemEventType { kCeStorm, kCeStormSuppressed, kPageOffline };
 
-const char* mem_event_name(MemEventType type);
-
 struct MemEvent {
   SimTime time = 0;
   MemEventType type = MemEventType::kCeStorm;

@@ -31,6 +31,14 @@ struct PredictionWindows {
     if (delta <= lead + prediction) return 1;
     return 0;
   }
+
+  /// Whether an alarm at `alarm` is a true positive for a UE at `ue_time`:
+  /// the UE lands no sooner than `lead` and no later than `lead +
+  /// prediction` after it (paper Section IV).
+  bool timely(SimTime alarm, SimTime ue_time) const {
+    const SimTime delta = ue_time - alarm;
+    return delta >= lead && delta <= lead + prediction;
+  }
 };
 
 }  // namespace memfp::features

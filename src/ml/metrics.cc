@@ -29,21 +29,6 @@ double Confusion::virr(double cold_migration_fraction) const {
   return (1.0 - cold_migration_fraction / p) * recall();
 }
 
-Confusion confusion_at(const std::vector<double>& scores,
-                       const std::vector<int>& labels, double threshold) {
-  MEMFP_CHECK_EQ(scores.size(), labels.size());
-  Confusion c;
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    const bool predicted = scores[i] >= threshold;
-    const bool actual = labels[i] == 1;
-    if (predicted && actual) ++c.tp;
-    else if (predicted && !actual) ++c.fp;
-    else if (!predicted && actual) ++c.fn;
-    else ++c.tn;
-  }
-  return c;
-}
-
 namespace {
 
 /// Indices sorted by descending score.
@@ -57,43 +42,6 @@ std::vector<std::size_t> rank_by_score(const std::vector<double>& scores) {
 }
 
 }  // namespace
-
-ThresholdChoice best_f1_threshold(const std::vector<double>& scores,
-                                  const std::vector<int>& labels) {
-  MEMFP_CHECK_EQ(scores.size(), labels.size());
-  std::size_t total_pos = 0;
-  for (int label : labels) total_pos += label == 1;
-  ThresholdChoice best;
-  best.confusion = confusion_at(scores, labels, 0.5);
-  double best_f1 = best.confusion.f1();
-  best.threshold = 0.5;
-
-  const std::vector<std::size_t> order = rank_by_score(scores);
-  std::size_t tp = 0, fp = 0;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (labels[order[i]] == 1) ++tp;
-    else ++fp;
-    // Only evaluate at distinct-score boundaries.
-    if (i + 1 < order.size() && scores[order[i + 1]] == scores[order[i]]) {
-      continue;
-    }
-    Confusion c;
-    c.tp = tp;
-    c.fp = fp;
-    c.fn = total_pos - tp;
-    c.tn = scores.size() - tp - fp - c.fn;
-    if (c.f1() > best_f1) {
-      best_f1 = c.f1();
-      best.confusion = c;
-      // Threshold halfway between this score and the next lower one.
-      const double current = scores[order[i]];
-      const double next =
-          i + 1 < order.size() ? scores[order[i + 1]] : current - 1e-6;
-      best.threshold = (current + next) * 0.5;
-    }
-  }
-  return best;
-}
 
 double pr_auc(const std::vector<double>& scores,
               const std::vector<int>& labels) {

@@ -1,6 +1,6 @@
 // Evaluation metrics for failure prediction (paper Section IV): precision,
-// recall, F1 and the VM Interruption Reduction Rate (VIRR), plus
-// threshold-sweep utilities and PR-AUC for model selection.
+// recall, F1 and the VM Interruption Reduction Rate (VIRR), plus PR-AUC,
+// ROC-AUC and log loss for model selection.
 #pragma once
 
 #include <cstddef>
@@ -22,19 +22,6 @@ struct Confusion {
   /// more VM interruptions than it prevents.
   double virr(double cold_migration_fraction = 0.1) const;
 };
-
-/// Confusion at a score threshold (score >= threshold -> positive).
-Confusion confusion_at(const std::vector<double>& scores,
-                       const std::vector<int>& labels, double threshold);
-
-struct ThresholdChoice {
-  double threshold = 0.5;
-  Confusion confusion;
-};
-
-/// Scans candidate thresholds and returns the F1-maximizing one.
-ThresholdChoice best_f1_threshold(const std::vector<double>& scores,
-                                  const std::vector<int>& labels);
 
 /// Area under the precision-recall curve (average precision).
 double pr_auc(const std::vector<double>& scores,

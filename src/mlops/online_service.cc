@@ -55,7 +55,8 @@ void OnlinePredictionService::apply_feedback(const sim::FleetTrace& fleet) {
     outcome.alarm = alarms_->first_alarm(dimm.id);
     // One DIMM's confusion: a late or early alarm on a failing DIMM is both
     // a missed failure and a false alarm.
-    const ml::Confusion c = core::dimm_confusion({outcome}, windows_);
+    ml::Confusion c;
+    core::classify(outcome, windows_, c);
     if (c.tp > 0) monitoring_->record_alarm_feedback(true);
     if (c.fn > 0) monitoring_->record_missed_failure();
     if (c.fp > 0) monitoring_->record_alarm_feedback(false);

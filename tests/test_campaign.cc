@@ -201,24 +201,25 @@ TEST(CampaignSweep, VectorizedMatchesScalarReplay) {
     for (std::size_t s = 0; s < set.streams(); ++s) {
       SCOPED_TRACE(testing::Message() << "threshold " << thresholds[t]
                                       << " stream " << s);
-      EXPECT_EQ(vectorized[t * set.streams() + s],
-                set.stream(s).first_alarm(thresholds[t]));
+      // Scalar replay: the stream's first score at or above the threshold.
+      std::optional<SimTime> scalar;
+      for (std::size_t r = set.offsets[s]; r < set.offsets[s + 1]; ++r) {
+        if (set.scores[r] >= thresholds[t]) {
+          scalar = set.times[r];
+          break;
+        }
+      }
+      EXPECT_EQ(vectorized[t * set.streams() + s], scalar);
     }
   }
 }
 
 TEST(CampaignSweep, ScoreAtThresholdAlarmsEverywhere) {
-  // The tie rule (score >= threshold alarms) must agree across the scalar
-  // stream, the vectorized sweep, and the serving-layer latch that feeds
-  // AlarmSystem. 0.1 + 0.2 != 0.3 in doubles, so use an exactly
-  // representable value to make the tie genuine.
+  // The tie rule (score >= threshold alarms) must agree across the
+  // vectorized sweep and the serving-layer latch that feeds AlarmSystem.
+  // 0.1 + 0.2 != 0.3 in doubles, so use an exactly representable value to
+  // make the tie genuine.
   const double threshold = 0.5;
-
-  ScoredStream scalar;
-  scalar.times = {100};
-  scalar.scores = {threshold};
-  ASSERT_EQ(scalar.first_alarm(threshold), std::optional<SimTime>(100));
-  EXPECT_EQ(scalar.first_alarm(std::nextafter(threshold, 1.0)), std::nullopt);
 
   ScoreStreamSet set;
   set.times = {100};

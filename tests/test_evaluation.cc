@@ -79,24 +79,27 @@ TEST(DimmConfusion, MissedPositiveIsFn) {
   EXPECT_EQ(c.fp, 0u);
 }
 
-TEST(ScoredStream, FirstAlarmFindsFirstCrossing) {
-  ScoredStream stream;
-  stream.times = {days(1), days(2), days(3), days(4)};
-  stream.scores = {0.1, 0.6, 0.4, 0.9};
-  EXPECT_EQ(stream.first_alarm(0.5), days(2));
-  EXPECT_EQ(stream.first_alarm(0.7), days(4));
-  EXPECT_FALSE(stream.first_alarm(0.95).has_value());
-  EXPECT_DOUBLE_EQ(stream.max_score(), 0.9);
+TEST(ScoreStreamSet, FirstAlarmFindsFirstCrossing) {
+  ScoreStreamSet set;
+  set.times = {days(1), days(2), days(3), days(4)};
+  set.scores = {0.1, 0.6, 0.4, 0.9};
+  set.offsets = {0, 4};
+  const std::vector<double> thresholds = {0.5, 0.7, 0.95};
+  const std::vector<std::optional<SimTime>> alarms =
+      set.first_alarms(thresholds);
+  ASSERT_EQ(alarms.size(), 3u);
+  EXPECT_EQ(alarms[0], days(2));
+  EXPECT_EQ(alarms[1], days(4));
+  EXPECT_FALSE(alarms[2].has_value());
 }
 
 TEST(TuneThreshold, SeparatesCleanStreams) {
-  // Positive DIMM peaks at 0.9 well before its UE; negative peaks at 0.3.
-  ScoredStream positive;
-  positive.times = {days(1), days(2)};
-  positive.scores = {0.2, 0.9};
-  ScoredStream negative;
-  negative.times = {days(1), days(2)};
-  negative.scores = {0.3, 0.25};
+  // Positive DIMM peaks at 0.9 well before its UE; negative peaks at 0.3;
+  // the third DIMM had no scored sample.
+  ScoreStreamSet streams;
+  streams.times = {days(1), days(2), days(1), days(2)};
+  streams.scores = {0.2, 0.9, 0.3, 0.25};
+  streams.offsets = {0, 2, 4, 4};
 
   AlarmOutcome pos_outcome;
   pos_outcome.positive = true;
@@ -104,14 +107,15 @@ TEST(TuneThreshold, SeparatesCleanStreams) {
   AlarmOutcome neg_outcome;
   neg_outcome.positive = false;
 
-  const double threshold = tune_threshold(
-      {positive, negative}, {pos_outcome, neg_outcome}, test_windows());
+  const double threshold =
+      tune_threshold(streams, {pos_outcome, neg_outcome, neg_outcome},
+                     test_windows());
   EXPECT_GT(threshold, 0.3);
   EXPECT_LE(threshold, 0.9);
 }
 
 TEST(TuneThreshold, EmptyStreamsFallBack) {
-  EXPECT_DOUBLE_EQ(tune_threshold({}, {}, test_windows()), 0.5);
+  EXPECT_DOUBLE_EQ(tune_threshold(ScoreStreamSet{}, {}, test_windows()), 0.5);
 }
 
 }  // namespace

@@ -41,34 +41,6 @@ TEST(Virr, ZeroColdMigrationGivesRecall) {
   EXPECT_NEAR(c.virr(0.0), c.recall(), 1e-12);
 }
 
-TEST(ConfusionAt, ThresholdSemantics) {
-  const std::vector<double> scores{0.9, 0.7, 0.4, 0.2};
-  const std::vector<int> labels{1, 0, 1, 0};
-  const Confusion c = confusion_at(scores, labels, 0.5);
-  EXPECT_EQ(c.tp, 1u);
-  EXPECT_EQ(c.fp, 1u);
-  EXPECT_EQ(c.fn, 1u);
-  EXPECT_EQ(c.tn, 1u);
-}
-
-TEST(BestF1Threshold, FindsSeparatingPoint) {
-  // Perfectly separable at 0.5.
-  const std::vector<double> scores{0.9, 0.8, 0.2, 0.1};
-  const std::vector<int> labels{1, 1, 0, 0};
-  const ThresholdChoice choice = best_f1_threshold(scores, labels);
-  EXPECT_NEAR(choice.confusion.f1(), 1.0, 1e-12);
-  EXPECT_GT(choice.threshold, 0.2);
-  EXPECT_LE(choice.threshold, 0.8);
-}
-
-TEST(BestF1Threshold, HandlesTies) {
-  const std::vector<double> scores{0.5, 0.5, 0.5, 0.5};
-  const std::vector<int> labels{1, 1, 0, 0};
-  const ThresholdChoice choice = best_f1_threshold(scores, labels);
-  // All-or-nothing: best F1 is 2*2/(2*2+2+0) = 0.667 (alarm everything).
-  EXPECT_NEAR(choice.confusion.f1(), 2.0 / 3.0, 1e-9);
-}
-
 TEST(PrAuc, PerfectRankingIsOne) {
   const std::vector<double> scores{0.9, 0.8, 0.3, 0.1};
   const std::vector<int> labels{1, 1, 0, 0};

@@ -209,24 +209,15 @@ TEST(ParallelDeterminism, ScoreDimmsMergesInDimmOrder) {
 
   const auto score_at = [&](int threads) {
     ThreadPool::ScopedLimit cap(threads);
-    std::vector<core::ScoredStream> streams;
-    std::vector<core::AlarmOutcome> outcomes;
-    std::vector<double> pooled;
-    std::vector<int> labels;
-    experiment.score_dimms(*model, experiment.test_dimms(), streams, outcomes,
-                           &pooled, &labels);
-    return std::make_tuple(std::move(streams), std::move(pooled),
-                           std::move(labels));
+    return experiment.score_dimms(*model, experiment.test_dimms());
   };
-  const auto [streams1, pooled1, labels1] = score_at(1);
-  const auto [streams4, pooled4, labels4] = score_at(4);
-  ASSERT_EQ(streams1.size(), streams4.size());
-  for (std::size_t i = 0; i < streams1.size(); ++i) {
-    EXPECT_EQ(streams1[i].times, streams4[i].times);
-    EXPECT_EQ(streams1[i].scores, streams4[i].scores);
-  }
-  EXPECT_EQ(pooled1, pooled4);  // ordered merge: element-for-element
-  EXPECT_EQ(labels1, labels4);
+  const core::Experiment::ScoredDimms one = score_at(1);
+  const core::Experiment::ScoredDimms four = score_at(4);
+  // Ordered merge: element-for-element.
+  EXPECT_EQ(one.streams.offsets, four.streams.offsets);
+  EXPECT_EQ(one.streams.times, four.streams.times);
+  EXPECT_EQ(one.streams.scores, four.streams.scores);
+  EXPECT_EQ(one.labels, four.labels);
 }
 
 }  // namespace
