@@ -102,6 +102,12 @@ int ThreadPool::current_limit() {
   return g_width_limit.load(std::memory_order_relaxed);
 }
 
+int ThreadPool::width() const {
+  const int limit = current_limit();
+  const int width = limit > 0 ? limit : default_width_;
+  return width < size() ? width : size();
+}
+
 void ThreadPool::submit(std::function<void()> task) {
   MEMFP_CHECK(task != nullptr) << "submitted an empty task";
   if (impl_->queues.empty()) {
@@ -201,8 +207,9 @@ struct Section {
   std::condition_variable done_cv;
   std::size_t completed = 0;
 
-  /// Claims and executes chunks until the cursor is exhausted.
-  void run() {
+  /// Claims and executes chunks until the cursor is exhausted. The calling
+  /// thread passes its `between` hook, runner tasks pass none.
+  void run(const std::function<void()>* between = nullptr) {
     for (;;) {
       const std::size_t c = cursor.fetch_add(1, std::memory_order_relaxed);
       if (c >= chunks) return;
@@ -215,8 +222,11 @@ struct Section {
           failed.store(true, std::memory_order_release);
         }
       }
-      std::lock_guard<std::mutex> lock(mutex);
-      if (++completed == chunks) done_cv.notify_all();
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (++completed == chunks) done_cv.notify_all();
+      }
+      if (between != nullptr) (*between)();
     }
   }
 };
@@ -224,28 +234,30 @@ struct Section {
 }  // namespace
 
 void ThreadPool::run_chunked(std::size_t chunks,
-                             const std::function<void(std::size_t)>& body) {
+                             const std::function<void(std::size_t)>& body,
+                             const std::function<void()>* between) {
   if (chunks == 0) return;
-  const int limit = current_limit();
-  int width = limit > 0 ? limit : default_width_;
-  if (width > size()) width = size();
-  if (static_cast<std::size_t>(width) > chunks) {
-    width = static_cast<int>(chunks);
+  int runners = width();
+  if (static_cast<std::size_t>(runners) > chunks) {
+    runners = static_cast<int>(chunks);
   }
-  if (width <= 1 || workers_.empty()) {
+  if (runners <= 1 || workers_.empty()) {
     // Serial fallback: same chunk order as the ordered reduction, so
     // single-threaded results are bit-identical to the parallel ones.
-    for (std::size_t c = 0; c < chunks; ++c) body(c);
+    for (std::size_t c = 0; c < chunks; ++c) {
+      body(c);
+      if (between != nullptr) (*between)();
+    }
     return;
   }
 
   auto section = std::make_shared<Section>();
   section->body = &body;
   section->chunks = chunks;
-  for (int r = 0; r < width - 1; ++r) {
+  for (int r = 0; r < runners - 1; ++r) {
     submit([section] { section->run(); });
   }
-  section->run();  // the calling thread is always one of the runners
+  section->run(between);  // the calling thread is always one of the runners
   {
     std::unique_lock<std::mutex> lock(section->mutex);
     section->done_cv.wait(lock,

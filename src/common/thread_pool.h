@@ -10,6 +10,9 @@
 //   * chunk boundaries are a pure function of n and grain,
 //   * `parallel_reduce` folds chunk partials in ascending chunk order on the
 //     calling thread,
+//   * `parallel_for_ordered` hands each index to an in-order consumer on the
+//     calling thread, so a serial step (a frame write, a hash fold) runs
+//     alongside the section instead of after it,
 //   * per-task randomness comes from `Rng::fork(index)`, which derives a
 //     child stream from the parent state and the task index without
 //     advancing the parent.
@@ -25,6 +28,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -72,6 +76,10 @@ class ThreadPool {
   };
   static int current_limit();
 
+  /// Executors a parallel section opened now would use at most: the
+  /// ScopedLimit cap (or the default width), never more than size().
+  int width() const;
+
   /// Fire-and-forget task. Runs inline when the pool has no workers. The
   /// destructor drains all queued tasks before returning.
   void submit(std::function<void()> task);
@@ -110,6 +118,52 @@ class ThreadPool {
     });
   }
 
+  /// Ordered consumer over a parallel section: calls body(i) for every i in
+  /// [0, n) as parallel_for does, and consume(i) for every i in ascending
+  /// order on the calling thread, each after body(i) has returned (its writes
+  /// are visible to consume). The caller consumes the ready prefix between
+  /// the chunks it runs itself and drains the rest once the section ends, so
+  /// an in-order serial step overlaps the parallel work. It adds no thread:
+  /// at width 1 it is the serial loop body(i), consume(i). An exception from
+  /// body or consume is rethrown once the section has ended (a body's first);
+  /// no index past the failure is consumed.
+  template <typename Body, typename Consume>
+  void parallel_for_ordered(std::size_t n, Body&& body, Consume&& consume,
+                            std::size_t grain = 0) {
+    if (n == 0) return;
+    const std::size_t g = grain > 0 ? grain : default_grain(n);
+    const std::size_t chunks = (n + g - 1) / g;
+    // done[c] is stored (release) after chunk c's bodies returned and loaded
+    // (acquire) by the consumer, which orders body writes before consume.
+    const auto done = std::make_unique<std::atomic<bool>[]>(chunks);
+    std::size_t next = 0;  // first chunk not yet consumed
+    std::exception_ptr consume_error;
+    const std::function<void()> drain = [&] {
+      while (next < chunks && !consume_error &&
+             done[next].load(std::memory_order_acquire)) {
+        const std::size_t begin = next * g;
+        const std::size_t end = begin + g < n ? begin + g : n;
+        ++next;
+        try {
+          for (std::size_t i = begin; i < end; ++i) consume(i);
+        } catch (...) {
+          consume_error = std::current_exception();
+        }
+      }
+    };
+    run_chunked(
+        chunks,
+        [&](std::size_t c) {
+          const std::size_t begin = c * g;
+          const std::size_t end = begin + g < n ? begin + g : n;
+          for (std::size_t i = begin; i < end; ++i) body(i);
+          done[c].store(true, std::memory_order_release);
+        },
+        &drain);
+    drain();  // the section has ended: every chunk is done
+    if (consume_error) std::rethrow_exception(consume_error);
+  }
+
   /// Ordered map-reduce: map(begin, end) produces one partial per chunk and
   /// the partials are folded as acc = reduce(acc, partial) in ascending
   /// chunk order on the calling thread. Because chunking depends only on
@@ -146,9 +200,12 @@ class ThreadPool {
 
   /// Executes body(c) for every chunk c in [0, chunks): inline when the
   /// effective width is 1, otherwise via width-1 stealing runner tasks plus
-  /// the calling thread. Rethrows the first exception.
+  /// the calling thread. Rethrows the first exception. A non-null `between`
+  /// runs on the calling thread only, after each chunk that thread executed;
+  /// it must not throw.
   void run_chunked(std::size_t chunks,
-                   const std::function<void(std::size_t)>& body);
+                   const std::function<void(std::size_t)>& body,
+                   const std::function<void()>* between = nullptr);
 
   void worker_loop(int index);
   bool try_run_one(int self_index);

@@ -10,6 +10,11 @@
 //   (incremental sliding-window engine, parallel) → score (FlatEnsemble
 //   batch via BinaryClassifier::predict_batch)
 //
+// The in-order serial steps (frame writes, the feature-hash fold and row
+// assembly) run on the calling thread alongside the parallel encode and
+// extract (ThreadPool::parallel_for_ordered), and the simulated traces are
+// freed on a pool task while the shard is read back.
+//
 // Determinism contract: traces, features, and scores are byte-identical to
 // the in-memory simulate_fleet + FeatureExtractor path for ANY shard count
 // and ANY thread count. The hinge is FleetPlanner's serial-fork cursor —
@@ -105,7 +110,8 @@ SimulatedShard simulate_shard(std::span<const sim::PlannedDimm> jobs,
                               std::uint64_t trace_hash);
 
 /// Runs the sharded pipeline. `model` may be null to stop after extraction
-/// (simulate + encode + extract only). Deterministic in params.seed for any
+/// (simulate + encode + extract only; samples are counted and hashed, but no
+/// feature matrix is assembled). Deterministic in params.seed for any
 /// config.shards / config.num_threads.
 FleetDriverResult run_fleet_driver(const sim::ScenarioParams& params,
                                    const FleetDriverConfig& config,

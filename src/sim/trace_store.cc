@@ -20,10 +20,6 @@ constexpr char kFooterMagic[8] = {'M', 'F', 'T', 'S', 'E', 'N', 'D', '1'};
 constexpr std::uint32_t kFormatVersion = 1;
 constexpr std::size_t kHeaderBytes = 24;  // magic + version + platform + horizon
 constexpr std::size_t kFooterBytes = 24;  // index offset + region hash + magic
-// Records a batch append encodes ahead of its frame writer: enough to keep
-// every pool thread busy, few enough that the payloads held at once stay
-// small next to the traces they encode.
-constexpr std::size_t kEncodeWindow = 256;
 
 // ---------------------------------------------------------------------------
 // Little-endian primitives (explicit, so shards are portable across hosts)
@@ -392,39 +388,31 @@ std::vector<std::uint64_t> ShardWriter::append(
     std::span<const DimmTrace> traces) {
   MEMFP_CHECK(!finished_) << "trace store: append after finish on " << path_;
   std::vector<std::uint64_t> hashes(traces.size());
-  if (payloads_.size() < std::min(traces.size(), kEncodeWindow)) {
-    payloads_.resize(std::min(traces.size(), kEncodeWindow));
-  }
-  for (std::size_t begin = 0; begin < traces.size(); begin += kEncodeWindow) {
-    const std::size_t count = std::min(kEncodeWindow, traces.size() - begin);
-    ThreadPool::global().parallel_for(
-        count,
-        [&](std::size_t i) {
-          std::vector<std::uint8_t>& payload = payloads_[i];
-          payload.clear();
-          encode_dimm_record(traces[begin + i], payload);
-          hashes[begin + i] =
-              fnv1a_bytes(kFnvOffset, payload.data(), payload.size());
-        },
-        /*grain=*/1);
-
-    // Frames go out in record order: the offsets, the region checksum and
-    // the file bytes are the serial writer's, whatever the thread count.
-    for (std::size_t i = 0; i < count; ++i) {
-      write_frame(traces[begin + i], payloads_[i]);
-    }
-  }
+  std::vector<std::vector<std::uint8_t>> payloads(traces.size());
+  ThreadPool::global().parallel_for_ordered(
+      traces.size(),
+      [&](std::size_t i) {
+        encode_dimm_record(traces[i], payloads[i]);
+        hashes[i] = fnv1a_bytes(kFnvOffset, payloads[i].data(),
+                                payloads[i].size());
+      },
+      // Frames go out in record order on the calling thread: the offsets,
+      // the region checksum and the file bytes are the serial writer's,
+      // whatever the thread count. Each payload is freed once written.
+      [&](std::size_t i) {
+        write_frame(traces[i], payloads[i]);
+        std::vector<std::uint8_t>().swap(payloads[i]);
+      },
+      /*grain=*/1);
   return hashes;
 }
 
 std::uint64_t ShardWriter::append(const DimmTrace& trace) {
   MEMFP_CHECK(!finished_) << "trace store: append after finish on " << path_;
-  if (payloads_.empty()) payloads_.resize(1);
-  std::vector<std::uint8_t>& payload = payloads_.front();
-  payload.clear();
-  encode_dimm_record(trace, payload);
-  write_frame(trace, payload);
-  return fnv1a_bytes(kFnvOffset, payload.data(), payload.size());
+  payload_.clear();
+  encode_dimm_record(trace, payload_);
+  write_frame(trace, payload_);
+  return fnv1a_bytes(kFnvOffset, payload_.data(), payload_.size());
 }
 
 void ShardWriter::write_frame(const DimmTrace& trace,

@@ -109,10 +109,10 @@ struct ShardStats {
 /// reject it via the missing footer magic.
 ///
 /// A batch append encodes and content-hashes its records in parallel on the
-/// global ThreadPool, one slot per record and a bounded window of records at
-/// a time, then writes each window's frames and folds the region checksum
-/// serially in record order, so the file bytes do not depend on the thread
-/// count.
+/// global ThreadPool, one slot per record, while the calling thread writes
+/// the frames and folds the region checksum in record order as each record
+/// becomes ready (ThreadPool::parallel_for_ordered), freeing each payload
+/// once written; the file bytes do not depend on the thread count.
 class ShardWriter {
  public:
   ShardWriter(const std::string& path, dram::Platform platform,
@@ -141,9 +141,9 @@ class ShardWriter {
   std::string path_;
   ShardStats stats_;
   std::vector<std::uint64_t> offsets_;  // record starts, relative to region
-  // Encode buffers, one per record of an append window, reused across
-  // windows and calls; prefix_ holds one frame's length varint.
-  std::vector<std::vector<std::uint8_t>> payloads_;
+  // The one-record append's encode buffer, reused across calls; prefix_
+  // holds one frame's length varint.
+  std::vector<std::uint8_t> payload_;
   std::vector<std::uint8_t> prefix_;
   std::uint64_t region_bytes_ = 0;
   std::uint64_t region_hash_ = kFnvOffset;

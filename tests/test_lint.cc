@@ -658,6 +658,31 @@ TEST(LintParallelCapture, FiresOnPushBackToSharedVector) {
   EXPECT_EQ(count_rule(rules, "parallel-capture"), 1);
 }
 
+TEST(LintParallelCapture, OrderedChecksBodyButNotConsume) {
+  // The body runs on the pool: a shared write there is a race.
+  EXPECT_EQ(count_rule(rules_found("src/core/x.cc", R"cc(
+    void f(std::vector<int>& out) {
+      int total = 0;
+      ThreadPool::global().parallel_for_ordered(
+          out.size(), [&](std::size_t i) { total += out[i]; },
+          [&](std::size_t i) { out[i] = 0; });
+    }
+  )cc"),
+                       "parallel-capture"),
+            1);
+  // consume runs in index order on the calling thread: the same write is
+  // the serial fold the primitive exists for.
+  EXPECT_TRUE(rules_found("src/core/x.cc", R"cc(
+    void f(std::vector<int>& out) {
+      int total = 0;
+      ThreadPool::global().parallel_for_ordered(
+          out.size(), [&](std::size_t i) { out[i] *= 2; },
+          [&](std::size_t i) { total += out[i]; });
+    }
+  )cc")
+                  .empty());
+}
+
 TEST(LintParallelCapture, SilentOnIndexedSlotsAndLocals) {
   EXPECT_TRUE(rules_found("src/ml/x.cc", R"cc(
     void f(std::vector<double>& out, const std::vector<double>& in) {

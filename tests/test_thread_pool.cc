@@ -193,6 +193,130 @@ TEST(ThreadPool, NestedSubmissionFromTasks) {
   EXPECT_EQ(inner.load(), 16 * 8);
 }
 
+/// Runs one parallel_for_ordered section over n indices and checks the
+/// contract: every body runs once, every index is consumed once, in
+/// ascending order, on the calling thread, with its body's write visible.
+void expect_ordered_contract(ThreadPool& pool, std::size_t n,
+                             std::size_t grain) {
+  SCOPED_TRACE(testing::Message() << "n " << n << ", grain " << grain);
+  std::vector<std::atomic<int>> body_hits(n);
+  for (auto& h : body_hits) h.store(0);
+  std::vector<std::size_t> written(n, 0);  // plain writes: TSan checks order
+  std::vector<std::size_t> consumed;
+  bool off_caller = false;
+  bool stale = false;
+  const std::thread::id caller = std::this_thread::get_id();
+  pool.parallel_for_ordered(
+      n,
+      [&](std::size_t i) {
+        body_hits[i].fetch_add(1);
+        written[i] = 3 * i + 1;
+      },
+      [&](std::size_t i) {
+        off_caller |= std::this_thread::get_id() != caller;
+        stale |= written[i] != 3 * i + 1;
+        consumed.push_back(i);
+      },
+      grain);
+  EXPECT_FALSE(off_caller);
+  EXPECT_FALSE(stale);
+  ASSERT_EQ(consumed.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(consumed[i], i);
+    EXPECT_EQ(body_hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPool, OrderedConsumesEveryIndexInOrderOnCaller) {
+  ThreadPool pool(4);
+  for (const int limit : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << "limit " << limit);
+    const ThreadPool::ScopedLimit cap(limit);
+    for (const std::size_t grain : {0, 1, 7}) {
+      for (const std::size_t n : {1, 7, 64, 1000}) {
+        expect_ordered_contract(pool, n, grain);
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, OrderedConsumesInOrderOnWidePool) {
+  ThreadPool pool(16);
+  for (const std::size_t grain : {0, 1, 7}) {
+    for (int round = 0; round < 5; ++round) {
+      expect_ordered_contract(pool, 2000, grain);
+    }
+  }
+}
+
+TEST(ThreadPool, OrderedZeroIsANoop) {
+  ThreadPool pool(2);
+  pool.parallel_for_ordered(
+      0, [](std::size_t) { FAIL() << "body must not run"; },
+      [](std::size_t) { FAIL() << "consume must not run"; });
+}
+
+TEST(ThreadPool, OrderedBodyExceptionPropagatesAfterSection) {
+  ThreadPool pool(4);
+  for (const int limit : {1, 4}) {
+    const ThreadPool::ScopedLimit cap(limit);
+    std::atomic<int> running{0};
+    std::vector<std::size_t> consumed;
+    EXPECT_THROW(pool.parallel_for_ordered(
+                     100,
+                     [&](std::size_t i) {
+                       running.fetch_add(1);
+                       std::this_thread::yield();
+                       running.fetch_sub(1);
+                       if (i == 37) throw std::runtime_error("body 37");
+                     },
+                     [&](std::size_t i) { consumed.push_back(i); },
+                     /*grain=*/1),
+                 std::runtime_error);
+    EXPECT_EQ(running.load(), 0) << "limit " << limit;  // section has ended
+    // Only a prefix before the failing index was consumed.
+    ASSERT_LE(consumed.size(), 37u);
+    for (std::size_t i = 0; i < consumed.size(); ++i) {
+      EXPECT_EQ(consumed[i], i);
+    }
+  }
+  std::atomic<int> count{0};
+  pool.parallel_for_ordered(
+      50, [&](std::size_t) { count.fetch_add(1); }, [](std::size_t) {});
+  EXPECT_EQ(count.load(), 50);
+}
+
+TEST(ThreadPool, OrderedConsumeExceptionPropagatesAfterSection) {
+  ThreadPool pool(4);
+  for (const int limit : {1, 4}) {
+    const ThreadPool::ScopedLimit cap(limit);
+    std::atomic<int> running{0};
+    std::vector<std::size_t> consumed;
+    EXPECT_THROW(pool.parallel_for_ordered(
+                     100,
+                     [&](std::size_t) {
+                       running.fetch_add(1);
+                       std::this_thread::yield();
+                       running.fetch_sub(1);
+                     },
+                     [&](std::size_t i) {
+                       consumed.push_back(i);
+                       if (i == 10) throw std::runtime_error("consume 10");
+                     },
+                     /*grain=*/1),
+                 std::runtime_error);
+    EXPECT_EQ(running.load(), 0) << "limit " << limit;  // section has ended
+    ASSERT_EQ(consumed.size(), 11u);  // nothing past the failure
+    for (std::size_t i = 0; i < consumed.size(); ++i) {
+      EXPECT_EQ(consumed[i], i);
+    }
+  }
+  std::vector<std::size_t> consumed;
+  pool.parallel_for_ordered(
+      50, [](std::size_t) {}, [&](std::size_t i) { consumed.push_back(i); });
+  EXPECT_EQ(consumed.size(), 50u);
+}
+
 TEST(ThreadPool, DefaultThreadsIsPositive) {
   EXPECT_GE(ThreadPool::default_threads(), 1);
   EXPECT_GE(ThreadPool::global().size(), 1);

@@ -264,13 +264,17 @@ std::set<std::string> collect_locals(const std::vector<Token>& toks,
 }
 
 /// Lambdas passed as arguments to the deterministic pool's entry points.
+/// For parallel_for_ordered only the first (the body) runs on the pool; its
+/// consume lambda runs in order on the calling thread and may write shared
+/// state.
 std::vector<Lambda> parallel_lambdas(const std::vector<Token>& toks) {
   std::vector<Lambda> out;
   std::set<std::size_t> seen;  // by introducer index
   for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
     if (!is_ident(toks[i])) continue;
     const std::string& name = toks[i].text;
-    if (name != "parallel_for" && name != "parallel_for_chunks" &&
+    const bool ordered = name == "parallel_for_ordered";
+    if (!ordered && name != "parallel_for" && name != "parallel_for_chunks" &&
         name != "parallel_reduce") {
       continue;
     }
@@ -282,6 +286,7 @@ std::vector<Lambda> parallel_lambdas(const std::vector<Token>& toks) {
       if (parse_lambda(toks, j, lambda)) {
         seen.insert(j);
         out.push_back(std::move(lambda));
+        if (ordered) break;
         j = out.back().body_end;
       }
     }

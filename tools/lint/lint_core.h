@@ -53,8 +53,10 @@
 //                    metrics or serialized output without an ordering step
 //                    (scope: src/)
 //   parallel-capture inside ThreadPool::parallel_for / parallel_for_chunks
-//                    / parallel_reduce lambda bodies: writes (=, +=, ++,
-//                    push_back, emplace_back, ...) to by-reference captures
+//                    / parallel_reduce lambda bodies, and the body (not the
+//                    in-order consume) of parallel_for_ordered: writes
+//                    (=, +=, ++, push_back, emplace_back, ...) to
+//                    by-reference captures
 //                    that are not indexed by the loop induction variable —
 //                    the shape of every order-dependent race TSan can only
 //                    catch dynamically (scope: src/ except thread_pool.*)
