@@ -102,12 +102,6 @@ int ThreadPool::current_limit() {
   return g_width_limit.load(std::memory_order_relaxed);
 }
 
-int ThreadPool::width() const {
-  const int limit = current_limit();
-  const int width = limit > 0 ? limit : default_width_;
-  return width < size() ? width : size();
-}
-
 void ThreadPool::submit(std::function<void()> task) {
   MEMFP_CHECK(task != nullptr) << "submitted an empty task";
   if (impl_->queues.empty()) {
@@ -237,11 +231,13 @@ void ThreadPool::run_chunked(std::size_t chunks,
                              const std::function<void(std::size_t)>& body,
                              const std::function<void()>* between) {
   if (chunks == 0) return;
-  int runners = width();
-  if (static_cast<std::size_t>(runners) > chunks) {
-    runners = static_cast<int>(chunks);
+  const int limit = current_limit();
+  int width = limit > 0 ? limit : default_width_;
+  if (width > size()) width = size();
+  if (static_cast<std::size_t>(width) > chunks) {
+    width = static_cast<int>(chunks);
   }
-  if (runners <= 1 || workers_.empty()) {
+  if (width <= 1 || workers_.empty()) {
     // Serial fallback: same chunk order as the ordered reduction, so
     // single-threaded results are bit-identical to the parallel ones.
     for (std::size_t c = 0; c < chunks; ++c) {
@@ -254,7 +250,7 @@ void ThreadPool::run_chunked(std::size_t chunks,
   auto section = std::make_shared<Section>();
   section->body = &body;
   section->chunks = chunks;
-  for (int r = 0; r < runners - 1; ++r) {
+  for (int r = 0; r < width - 1; ++r) {
     submit([section] { section->run(); });
   }
   section->run(between);  // the calling thread is always one of the runners

@@ -76,10 +76,6 @@ class ThreadPool {
   };
   static int current_limit();
 
-  /// Executors a parallel section opened now would use at most: the
-  /// ScopedLimit cap (or the default width), never more than size().
-  int width() const;
-
   /// Fire-and-forget task. Runs inline when the pool has no workers. The
   /// destructor drains all queued tasks before returning.
   void submit(std::function<void()> task);
@@ -119,48 +115,40 @@ class ThreadPool {
   }
 
   /// Ordered consumer over a parallel section: calls body(i) for every i in
-  /// [0, n) as parallel_for does, and consume(i) for every i in ascending
-  /// order on the calling thread, each after body(i) has returned (its writes
-  /// are visible to consume). The caller consumes the ready prefix between
-  /// the chunks it runs itself and drains the rest once the section ends, so
-  /// an in-order serial step overlaps the parallel work. It adds no thread:
-  /// at width 1 it is the serial loop body(i), consume(i). An exception from
-  /// body or consume is rethrown once the section has ended (a body's first);
-  /// no index past the failure is consumed.
+  /// [0, n) on the pool, one index per chunk, and consume(i) for every i in
+  /// ascending order on the calling thread, each after body(i) has returned
+  /// (its writes are visible to consume). The caller consumes the ready
+  /// prefix between the indices it runs itself and drains the rest once the
+  /// section ends, so an in-order serial step overlaps the parallel work. It
+  /// adds no thread: at width 1 it is the serial loop body(i), consume(i).
+  /// An exception from body or consume is rethrown once the section has
+  /// ended (a body's first); no index past the failure is consumed.
   template <typename Body, typename Consume>
-  void parallel_for_ordered(std::size_t n, Body&& body, Consume&& consume,
-                            std::size_t grain = 0) {
+  void parallel_for_ordered(std::size_t n, Body&& body, Consume&& consume) {
     if (n == 0) return;
-    const std::size_t g = grain > 0 ? grain : default_grain(n);
-    const std::size_t chunks = (n + g - 1) / g;
-    // done[c] is stored (release) after chunk c's bodies returned and loaded
+    // done[i] is stored (release) after body(i) returned and loaded
     // (acquire) by the consumer, which orders body writes before consume.
-    const auto done = std::make_unique<std::atomic<bool>[]>(chunks);
-    std::size_t next = 0;  // first chunk not yet consumed
+    const auto done = std::make_unique<std::atomic<bool>[]>(n);
+    std::size_t next = 0;  // first index not yet consumed
     std::exception_ptr consume_error;
     const std::function<void()> drain = [&] {
-      while (next < chunks && !consume_error &&
+      while (next < n && !consume_error &&
              done[next].load(std::memory_order_acquire)) {
-        const std::size_t begin = next * g;
-        const std::size_t end = begin + g < n ? begin + g : n;
-        ++next;
         try {
-          for (std::size_t i = begin; i < end; ++i) consume(i);
+          consume(next++);
         } catch (...) {
           consume_error = std::current_exception();
         }
       }
     };
     run_chunked(
-        chunks,
-        [&](std::size_t c) {
-          const std::size_t begin = c * g;
-          const std::size_t end = begin + g < n ? begin + g : n;
-          for (std::size_t i = begin; i < end; ++i) body(i);
-          done[c].store(true, std::memory_order_release);
+        n,
+        [&](std::size_t i) {
+          body(i);
+          done[i].store(true, std::memory_order_release);
         },
         &drain);
-    drain();  // the section has ended: every chunk is done
+    drain();  // the section has ended: every index is done
     if (consume_error) std::rethrow_exception(consume_error);
   }
 

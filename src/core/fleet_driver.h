@@ -13,7 +13,7 @@
 // The in-order serial steps (frame writes, the feature-hash fold and row
 // assembly) run on the calling thread alongside the parallel encode and
 // extract (ThreadPool::parallel_for_ordered), and the simulated traces are
-// freed on a pool task while the shard is read back.
+// freed alongside the shard's read-back (a two-index parallel_for).
 //
 // Determinism contract: traces, features, and scores are byte-identical to
 // the in-memory simulate_fleet + FeatureExtractor path for ANY shard count

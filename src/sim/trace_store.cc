@@ -402,8 +402,7 @@ std::vector<std::uint64_t> ShardWriter::append(
       [&](std::size_t i) {
         write_frame(traces[i], payloads[i]);
         std::vector<std::uint8_t>().swap(payloads[i]);
-      },
-      /*grain=*/1);
+      });
   return hashes;
 }
 

@@ -149,6 +149,10 @@ TEST(FleetDriverDeterminism, SimulateFleetMatchesDriverTraces) {
   config.keep_store = true;
   const FleetDriverResult run = run_fleet_driver(params, config, nullptr);
   ASSERT_EQ(run.observed_dimms, fleet.dimms.size());
+  // Without a model the driver assembles no rows but still folds and
+  // counts every sample.
+  EXPECT_EQ(run.samples, kGoldenSamples);
+  EXPECT_EQ(run.feature_hash, kGoldenFeatureHash);
 
   std::uint64_t resident_hash = sim::kFnvOffset;
   for (const sim::DimmTrace& dimm : fleet.dimms) {

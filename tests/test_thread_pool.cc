@@ -196,9 +196,8 @@ TEST(ThreadPool, NestedSubmissionFromTasks) {
 /// Runs one parallel_for_ordered section over n indices and checks the
 /// contract: every body runs once, every index is consumed once, in
 /// ascending order, on the calling thread, with its body's write visible.
-void expect_ordered_contract(ThreadPool& pool, std::size_t n,
-                             std::size_t grain) {
-  SCOPED_TRACE(testing::Message() << "n " << n << ", grain " << grain);
+void expect_ordered_contract(ThreadPool& pool, std::size_t n) {
+  SCOPED_TRACE(testing::Message() << "n " << n);
   std::vector<std::atomic<int>> body_hits(n);
   for (auto& h : body_hits) h.store(0);
   std::vector<std::size_t> written(n, 0);  // plain writes: TSan checks order
@@ -216,8 +215,7 @@ void expect_ordered_contract(ThreadPool& pool, std::size_t n,
         off_caller |= std::this_thread::get_id() != caller;
         stale |= written[i] != 3 * i + 1;
         consumed.push_back(i);
-      },
-      grain);
+      });
   EXPECT_FALSE(off_caller);
   EXPECT_FALSE(stale);
   ASSERT_EQ(consumed.size(), n);
@@ -232,20 +230,16 @@ TEST(ThreadPool, OrderedConsumesEveryIndexInOrderOnCaller) {
   for (const int limit : {1, 2, 4}) {
     SCOPED_TRACE(testing::Message() << "limit " << limit);
     const ThreadPool::ScopedLimit cap(limit);
-    for (const std::size_t grain : {0, 1, 7}) {
-      for (const std::size_t n : {1, 7, 64, 1000}) {
-        expect_ordered_contract(pool, n, grain);
-      }
+    for (const std::size_t n : {1, 7, 64, 1000}) {
+      expect_ordered_contract(pool, n);
     }
   }
 }
 
 TEST(ThreadPool, OrderedConsumesInOrderOnWidePool) {
   ThreadPool pool(16);
-  for (const std::size_t grain : {0, 1, 7}) {
-    for (int round = 0; round < 5; ++round) {
-      expect_ordered_contract(pool, 2000, grain);
-    }
+  for (int round = 0; round < 5; ++round) {
+    expect_ordered_contract(pool, 2000);
   }
 }
 
@@ -270,8 +264,7 @@ TEST(ThreadPool, OrderedBodyExceptionPropagatesAfterSection) {
                        running.fetch_sub(1);
                        if (i == 37) throw std::runtime_error("body 37");
                      },
-                     [&](std::size_t i) { consumed.push_back(i); },
-                     /*grain=*/1),
+                     [&](std::size_t i) { consumed.push_back(i); }),
                  std::runtime_error);
     EXPECT_EQ(running.load(), 0) << "limit " << limit;  // section has ended
     // Only a prefix before the failing index was consumed.
@@ -302,8 +295,7 @@ TEST(ThreadPool, OrderedConsumeExceptionPropagatesAfterSection) {
                      [&](std::size_t i) {
                        consumed.push_back(i);
                        if (i == 10) throw std::runtime_error("consume 10");
-                     },
-                     /*grain=*/1),
+                     }),
                  std::runtime_error);
     EXPECT_EQ(running.load(), 0) << "limit " << limit;  // section has ended
     ASSERT_EQ(consumed.size(), 11u);  // nothing past the failure
