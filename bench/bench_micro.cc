@@ -192,6 +192,51 @@ void BM_FeaturesAt(benchmark::State& state) {
 }
 BENCHMARK(BM_FeaturesAt)->Unit(benchmark::kMillisecond);
 
+// One CE-storm DIMM as ServingEngine sees it: 400 CEs per 6-hour tick over
+// the same 400 cells for 10 days, folded with ingest_ce_at and scored with
+// features_at every tick, so the default 5-day window holds ~8000 CEs. Most
+// CEs repeat a cell already in the window; eviction runs every tick.
+void BM_StreamStorm(benchmark::State& state) {
+  const features::FeatureExtractor extractor;
+  constexpr SimDuration kCadence = hours(6);
+  constexpr int kCesPerTick = 400;
+  Rng rng(47);
+  sim::DimmTrace trace;
+  trace.id = 12;
+  std::vector<dram::CeEvent> cells(kCesPerTick);
+  for (dram::CeEvent& ce : cells) {
+    ce.coord.bank = static_cast<int>(rng.uniform_u64(16));
+    ce.coord.row = static_cast<int>(rng.uniform_u64(4096));
+    ce.coord.column = static_cast<int>(rng.uniform_u64(128));
+    ce.pattern.add({static_cast<std::uint8_t>(rng.uniform_u64(8)),
+                    static_cast<std::uint8_t>(rng.uniform_u64(8))});
+  }
+  const SimTime end = days(16);
+  for (SimTime t = kCadence; t <= end; t += kCadence) {
+    for (int k = 0; k < kCesPerTick; ++k) {
+      dram::CeEvent ce = cells[static_cast<std::size_t>(k)];
+      ce.time = t - kCadence + 1 + k * (kCadence - 1) / kCesPerTick;
+      trace.ces.push_back(std::move(ce));
+    }
+  }
+  std::vector<float> features;
+  for (auto _ : state) {
+    features::OnlineExtractorState stream =
+        extractor.open_stream(trace.config, trace.workload);
+    std::size_t next_ce = 0;
+    for (SimTime t = kCadence; t <= end; t += kCadence) {
+      while (next_ce < trace.ces.size() && trace.ces[next_ce].time <= t) {
+        stream.ingest_ce_at(t, trace.ces[next_ce++]);
+      }
+      stream.features_at(t, features);
+      benchmark::DoNotOptimize(features);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(trace.ces.size()));
+}
+BENCHMARK(BM_StreamStorm)->Unit(benchmark::kMillisecond);
+
 ml::Dataset bench_dataset(std::size_t rows) {
   Rng rng(4);
   ml::Dataset d;

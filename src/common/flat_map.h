@@ -37,24 +37,25 @@ class FlatMap64 {
   /// Value for `key`, default-constructing it on first access (the
   /// unordered_map::operator[] shape the extractor state uses).
   V& operator[](std::uint64_t key) {
-    if (slots_.empty() || (size_ + 1) * 4 > capacity() * 3) grow();
+    if ((size_ + 1) * 4 > capacity() * 3) grow();
     std::size_t i = mix_u64(key) & mask_;
-    while (used_[i]) {
+    while (slots_[i].used) {
       if (slots_[i].key == key) return slots_[i].value;
       i = (i + 1) & mask_;
     }
-    used_[i] = 1;
-    slots_[i].key = key;
-    slots_[i].value = V{};
+    Slot& slot = slots_[i];
+    slot.key = key;
+    slot.value = V{};
+    slot.used = true;
     ++size_;
-    return slots_[i].value;
+    return slot.value;
   }
 
   /// Pointer to the mapped value, or nullptr when absent.
   V* find(std::uint64_t key) {
     if (slots_.empty()) return nullptr;
     std::size_t i = mix_u64(key) & mask_;
-    while (used_[i]) {
+    while (slots_[i].used) {
       if (slots_[i].key == key) return &slots_[i].value;
       i = (i + 1) & mask_;
     }
@@ -69,11 +70,11 @@ class FlatMap64 {
   void erase(std::uint64_t key) {
     MEMFP_CHECK(!slots_.empty()) << "erase from empty FlatMap64";
     std::size_t i = mix_u64(key) & mask_;
-    while (used_[i] && slots_[i].key != key) i = (i + 1) & mask_;
-    MEMFP_CHECK(used_[i]) << "erase of absent key";
+    while (slots_[i].used && slots_[i].key != key) i = (i + 1) & mask_;
+    MEMFP_CHECK(slots_[i].used) << "erase of absent key";
     std::size_t hole = i;
     std::size_t j = (hole + 1) & mask_;
-    while (used_[j]) {
+    while (slots_[j].used) {
       const std::size_t home = mix_u64(slots_[j].key) & mask_;
       // Slot j may move into the hole only if its home position does not lie
       // strictly after the hole on j's probe path.
@@ -83,50 +84,40 @@ class FlatMap64 {
       }
       j = (j + 1) & mask_;
     }
-    used_[hole] = 0;
-    slots_[hole].value = V{};  // release held resources eagerly
+    slots_[hole] = Slot{};  // release held resources eagerly
     --size_;
-    ++generation_;
   }
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// Bumped whenever stored addresses may have moved (growth or
-  /// backward-shift erase). Callers holding raw value pointers across calls
-  /// (hot-path last-key caches) revalidate against this.
-  std::uint64_t generation() const { return generation_; }
-
  private:
+  // The occupancy flag shares the slot, so a probe step reads one slot. For
+  // the small mapped values here it sits in the slot's padding.
   struct Slot {
     std::uint64_t key = 0;
     V value{};
+    bool used = false;
   };
 
   std::size_t capacity() const { return slots_.size(); }
 
   void grow() {
-    ++generation_;
     const std::size_t cap = slots_.empty() ? 8 : capacity() * 2;
     std::vector<Slot> old_slots = std::move(slots_);
-    std::vector<std::uint8_t> old_used = std::move(used_);
     slots_.assign(cap, Slot{});
-    used_.assign(cap, 0);
     mask_ = cap - 1;
-    for (std::size_t i = 0; i < old_slots.size(); ++i) {
-      if (!old_used[i]) continue;
-      std::size_t j = mix_u64(old_slots[i].key) & mask_;
-      while (used_[j]) j = (j + 1) & mask_;
-      used_[j] = 1;
-      slots_[j] = std::move(old_slots[i]);
+    for (Slot& slot : old_slots) {
+      if (!slot.used) continue;
+      std::size_t j = mix_u64(slot.key) & mask_;
+      while (slots_[j].used) j = (j + 1) & mask_;
+      slots_[j] = std::move(slot);
     }
   }
 
   std::vector<Slot> slots_;
-  std::vector<std::uint8_t> used_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
-  std::uint64_t generation_ = 0;
 };
 
 }  // namespace memfp

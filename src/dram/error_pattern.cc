@@ -15,15 +15,16 @@ class IndexSet {
   IndexSet(const std::vector<ErrorBit>& bits, Extract extract) {
     for (const ErrorBit& bit : bits) {
       const auto value = static_cast<unsigned>(extract(bit));
-      words_[value >> 6] |= std::uint64_t{1} << (value & 63);
+      std::uint64_t& word = words_[value >> 6];
+      const std::uint64_t mask = std::uint64_t{1} << (value & 63);
+      // Counted as members arrive: a generic x86-64 build has no popcnt
+      // instruction, and std::popcount becomes a libgcc call per word.
+      count_ += (word & mask) == 0;
+      word |= mask;
     }
   }
 
-  int count() const {
-    int n = 0;
-    for (const std::uint64_t word : words_) n += std::popcount(word);
-    return n;
-  }
+  int count() const { return count_; }
 
   /// Largest distance between consecutive members; 0 when fewer than two.
   int max_gap() const {
@@ -54,6 +55,7 @@ class IndexSet {
 
  private:
   std::array<std::uint64_t, 4> words_{};
+  int count_ = 0;
 };
 
 int dq_of(const ErrorBit& bit) { return bit.dq; }

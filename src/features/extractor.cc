@@ -27,12 +27,12 @@ std::vector<Sample> FeatureExtractor::extract(const sim::DimmTrace& trace,
   std::vector<float> features;
   for (SimTime t = windows_.cadence; t <= end; t += windows_.cadence) {
     while (next_ce < trace.ces.size() && trace.ces[next_ce].time <= t) {
-      state.observe_ce(trace.ces[next_ce]);
+      state.ingest_ce_at(t, trace.ces[next_ce]);
       ++next_ce;
     }
     while (next_event < trace.events.size() &&
            trace.events[next_event].time <= t) {
-      state.observe_event(trace.events[next_event]);
+      state.ingest_event_at(t, trace.events[next_event]);
       ++next_event;
     }
     state.features_at(t, features);
@@ -42,7 +42,7 @@ std::vector<Sample> FeatureExtractor::extract(const sim::DimmTrace& trace,
     sample.dimm = trace.id;
     sample.time = t;
     sample.label = trace.ue ? windows_.label_for(t, trace.ue->time) : 0;
-    sample.features = features;
+    sample.features = std::move(features);
     samples.push_back(std::move(sample));
   }
   return samples;
@@ -51,17 +51,17 @@ std::vector<Sample> FeatureExtractor::extract(const sim::DimmTrace& trace,
 std::vector<float> FeatureExtractor::features_at(const sim::DimmTrace& trace,
                                                  SimTime t) const {
   if (t <= 0) return {};
-  // One-shot query: replay the trace prefix into a fresh streaming state.
-  // No trace copy, no throwaway extractor — but repeated queries against the
-  // same DIMM should hold an open_stream() state instead.
+  // One-shot query: fold the trace prefix straight into a fresh streaming
+  // state. No trace copy, no throwaway extractor — but repeated queries
+  // against the same DIMM should hold an open_stream() state instead.
   OnlineExtractorState state = open_stream(trace.config, trace.workload);
   for (const dram::CeEvent& ce : trace.ces) {
     if (ce.time > t) break;
-    state.observe_ce(ce);
+    state.ingest_ce_at(t, ce);
   }
   for (const dram::MemEvent& event : trace.events) {
     if (event.time > t) break;
-    state.observe_event(event);
+    state.ingest_event_at(t, event);
   }
   return state.features_at(t);
 }

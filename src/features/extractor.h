@@ -42,9 +42,11 @@ class FeatureExtractor {
   std::vector<float> features_at(const sim::DimmTrace& trace, SimTime t) const;
 
   /// Opens a persistent streaming extraction state for one DIMM (the online
-  /// serving path): feed telemetry with observe_ce / observe_event, query
-  /// with features_at(t) for non-decreasing t — no trace copies, no
-  /// extractor reconstruction, byte-identical to extract().
+  /// serving path), byte-identical to extract(): query with features_at(t)
+  /// for non-decreasing t. Callers that know each event's query time fold it
+  /// directly with ingest_ce_at / ingest_event_at (the fast path extract()
+  /// and ServingEngine use); observe_ce / observe_event instead queue
+  /// telemetry that may run ahead of the next query.
   OnlineExtractorState open_stream(const dram::DimmConfig& config,
                                    const sim::WorkloadStats& workload) const;
 

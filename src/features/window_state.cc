@@ -17,40 +17,34 @@ float log1pf_clamped(double value) {
 
 // ---- SlidingCountMap --------------------------------------------------------
 
-void SlidingCountMap::increment(std::uint64_t key) {
-  int* entry = cached_entry_;
-  if (entry == nullptr || key != cached_key_ ||
-      cached_generation_ != counts_.generation()) {
-    entry = &counts_[key];
-    cached_key_ = key;
-    cached_entry_ = entry;
-    cached_generation_ = counts_.generation();
-  }
-  int& count = *entry;
-  if (count > 0) --freq_[static_cast<std::size_t>(count)];
-  ++count;
+int SlidingCountMap::decrement(std::uint64_t key) {
+  int* entry = counts_.find(key);
+  MEMFP_CHECK(entry != nullptr) << "decrement of absent key";
+  const int count = --*entry;
+  if (count == 0) counts_.erase(key);
+  return count;
+}
+
+int SlidingMaxCountMap::increment(std::uint64_t key) {
+  const int count = counts_.increment(key);
+  if (count > 1) --freq_[static_cast<std::size_t>(count - 1)];
   if (static_cast<std::size_t>(count) >= freq_.size()) {
     freq_.resize(static_cast<std::size_t>(count) + 1, 0);
   }
   ++freq_[static_cast<std::size_t>(count)];
   max_ = std::max(max_, count);
+  return count;
 }
 
-void SlidingCountMap::decrement(std::uint64_t key) {
-  int* entry = counts_.find(key);
-  MEMFP_CHECK(entry != nullptr) << "decrement of absent key";
-  const int count = *entry;
-  --freq_[static_cast<std::size_t>(count)];
-  if (count == 1) {
-    counts_.erase(key);
-  } else {
-    *entry = count - 1;
-    ++freq_[static_cast<std::size_t>(count - 1)];
-  }
+int SlidingMaxCountMap::decrement(std::uint64_t key) {
+  const int count = counts_.decrement(key);
+  --freq_[static_cast<std::size_t>(count + 1)];
+  if (count > 0) ++freq_[static_cast<std::size_t>(count)];
   // A single decrement lowers the maximum multiplicity by at most one.
-  if (count == max_ && freq_[static_cast<std::size_t>(count)] == 0) {
-    max_ = count - 1;
+  if (count + 1 == max_ && freq_[static_cast<std::size_t>(max_)] == 0) {
+    max_ = count;
   }
+  return count;
 }
 
 // ---- Axis statistics --------------------------------------------------------
@@ -89,17 +83,6 @@ void WindowPatternState::add(std::span<const dram::ErrorBit> bits) {
     if (++bit_counts_[dq * static_cast<std::size_t>(beats_) + beat] == 1) {
       ++dq_occupancy_[dq];
       ++beat_occupancy_[beat];
-    }
-  }
-}
-
-void WindowPatternState::remove(std::span<const dram::ErrorBit> bits) {
-  for (const dram::ErrorBit& bit : bits) {
-    const std::size_t dq = bit.dq;
-    const std::size_t beat = bit.beat;
-    if (--bit_counts_[dq * static_cast<std::size_t>(beats_) + beat] == 0) {
-      --dq_occupancy_[dq];
-      --beat_occupancy_[beat];
     }
   }
 }
@@ -178,54 +161,43 @@ LifetimeState::LifetimeState(const FaultThresholds& thresholds,
 
 void LifetimeState::add(const dram::CeEvent& ce) {
   const dram::CellCoord& c = ce.coord;
+  MEMFP_CHECK(packs_losslessly(c)) << "cell coordinate outside the packed key";
   const std::uint64_t cell = pack_cell(c);
-  const bool cached =
-      cell == cached_cell_ && cached_gens_[0] == cell_counts_.generation() &&
-      cached_gens_[1] == row_columns_.generation() &&
-      cached_gens_[2] == column_rows_.generation() &&
-      cached_gens_[3] == banks_.generation() &&
-      cached_gens_[4] == device_counts_.generation();
-  if (!cached) {
-    cached_cell_count_ = &cell_counts_[cell];
-    cached_row_cols_ = &row_columns_[cell >> 16];
-    cached_col_rows_ =
-        &column_rows_[(cell & 0xffffff000000ffffULL) | 0xff0000ULL];
-    cached_bank_ = &banks_[cell >> 40];
-    cached_device_count_ = &device_counts_[static_cast<std::uint64_t>(
-        (c.rank << 8) | c.device)];
-    cached_cell_ = cell;
-    cached_gens_[0] = cell_counts_.generation();
-    cached_gens_[1] = row_columns_.generation();
-    cached_gens_[2] = column_rows_.generation();
-    cached_gens_[3] = banks_.generation();
-    cached_gens_[4] = device_counts_.generation();
+  const int sightings = ++cell_counts_[cell];
+  if (sightings == thresholds_.cell_repeat) ++cell_faults_;
+
+  // Only a cell's first sighting can grow the row, column and bank sets: a
+  // repeat carries the same row and column (the key is lossless), which its
+  // first sighting either recorded or found saturated, and a saturated set
+  // stays saturated. A repeat would insert nothing and re-test a bank
+  // condition whose inputs did not move.
+  if (sightings == 1) {
+    BoundedDistinct& row_cols = row_columns_[cell >> 16];
+    if (row_cols.insert(c.column, thresholds_.row_columns) &&
+        row_cols.size() == thresholds_.row_columns) {
+      ++row_faults_;
+    }
+
+    BoundedDistinct& col_rows =
+        column_rows_[(cell & 0xffffff000000ffffULL) | 0xff0000ULL];
+    if (col_rows.insert(c.row, thresholds_.column_rows) &&
+        col_rows.size() == thresholds_.column_rows) {
+      ++column_faults_;
+    }
+
+    BankState& bank_state = banks_[cell >> 40];
+    bank_state.rows.insert(c.row, thresholds_.bank_rows);
+    bank_state.columns.insert(c.column, thresholds_.bank_columns);
+    if (!bank_state.counted &&
+        bank_state.rows.size() >= thresholds_.bank_rows &&
+        bank_state.columns.size() >= thresholds_.bank_columns) {
+      bank_state.counted = true;
+      ++bank_faults_;
+    }
   }
 
-  if (++*cached_cell_count_ == thresholds_.cell_repeat) ++cell_faults_;
-
-  BoundedDistinct& row_cols = *cached_row_cols_;
-  if (row_cols.insert(c.column, thresholds_.row_columns) &&
-      row_cols.size() == thresholds_.row_columns) {
-    ++row_faults_;
-  }
-
-  BoundedDistinct& col_rows = *cached_col_rows_;
-  if (col_rows.insert(c.row, thresholds_.column_rows) &&
-      col_rows.size() == thresholds_.column_rows) {
-    ++column_faults_;
-  }
-
-  BankState& bank_state = *cached_bank_;
-  bank_state.rows.insert(c.row, thresholds_.bank_rows);
-  bank_state.columns.insert(c.column, thresholds_.bank_columns);
-  if (!bank_state.counted &&
-      bank_state.rows.size() >= thresholds_.bank_rows &&
-      bank_state.columns.size() >= thresholds_.bank_columns) {
-    bank_state.counted = true;
-    ++bank_faults_;
-  }
-
-  if (++*cached_device_count_ == thresholds_.device_min_ces) {
+  if (++device_counts_[static_cast<std::uint64_t>((c.rank << 8) | c.device)] ==
+      thresholds_.device_min_ces) {
     ++faulty_devices_;
   }
 
@@ -245,96 +217,94 @@ WindowState::WindowState(const PredictionWindows& windows,
       dq_count_freq_(static_cast<std::size_t>(geometry.total_dq()) + 1, 0),
       beat_count_freq_(static_cast<std::size_t>(geometry.beats) + 1, 0) {}
 
-void WindowState::push_record(CeRecord&& rec) {
-  if (count_ == records_.size()) {
-    const std::size_t cap = records_.empty() ? 8 : records_.size() * 2;
-    std::vector<CeRecord> grown(cap);
-    for (std::size_t i = 0; i < count_; ++i) grown[i] = std::move(rec_at(i));
-    records_ = std::move(grown);
-    head_ = 0;
-    rmask_ = cap - 1;
-  }
-  records_[(head_ + count_) & rmask_] = std::move(rec);
-  ++count_;
-}
-
-void WindowState::pop_front_record() {
-  head_ = (head_ + 1) & rmask_;
-  --count_;
-}
-
 void WindowState::add(const dram::CeEvent& ce) {
-  CeRecord rec;
-  rec.time = ce.time;
-  rec.cell = pack_cell(ce.coord);
-  rec.device = (ce.coord.rank << 8) | ce.coord.device;
-  rec.day = static_cast<int>(ce.time / kDay);
-  rec.dq_count = ce.pattern.dq_count();
-  rec.beat_count = ce.pattern.beat_count();
-  rec.multibit = ce.pattern.bit_count() > 1;
-  rec.cross_device = ce.pattern.device_count(geometry_) > 1;
-  rec.bits.assign(ce.pattern.bits());
+  // Checks run before anything is stored: the time order here, the bit
+  // geometry in pattern_.add, which also bounds the dq/beat counts that
+  // index the histograms below.
+  if (!times_.empty()) {
+    MEMFP_CHECK_GE(ce.time, times_.back()) << "CEs must be time-ordered";
+  }
+  const std::span<const dram::ErrorBit> bits = ce.pattern.bits();
+  pattern_.add(bits);
 
   // Appending extends the interarrival fold with exactly the operation the
   // rescanning extractor performs next, so a clean fold stays bit-exact.
-  if (count_ > 0) {
-    const SimTime prev_time = rec_at(count_ - 1).time;
-    MEMFP_CHECK_GE(rec.time, prev_time) << "CEs must be time-ordered";
-    const double gap_h = static_cast<double>(rec.time - prev_time) /
+  if (!times_.empty()) {
+    const double gap_h = static_cast<double>(ce.time - times_.back()) /
                          static_cast<double>(kHour);
     inter_sum_ += gap_h;
     inter_sq_ += gap_h * gap_h;
     inter_min_ = std::min(inter_min_, gap_h);
   }
+  if (times_.empty() || day_of(times_.back()) != day_of(ce.time)) {
+    ++active_days_;
+  }
 
-  cells_.increment(rec.cell);
-  rows_.increment(rec.cell >> 16);
-  columns_.increment(rec.cell & 0xffffff000000ffffULL);
-  banks_.increment(rec.cell >> 40);
+  Evictee rec;
+  rec.cell = pack_cell(ce.coord);
+  rec.device = (ce.coord.rank << 8) | ce.coord.device;
+  rec.bits = static_cast<std::uint32_t>(bits.size());
+  rec.dq_count = static_cast<std::uint16_t>(ce.pattern.dq_count());
+  rec.beat_count = static_cast<std::uint16_t>(ce.pattern.beat_count());
+  rec.cross_device = ce.pattern.device_count(geometry_) > 1;
+
+  if (cells_.increment(rec.cell) == 1) {
+    columns_.increment(rec.cell & 0xffffff000000ffffULL);
+  }
+  if (rows_.increment(rec.cell >> 16) == 1) banks_.increment(rec.cell >> 40);
   devices_.increment(static_cast<std::uint64_t>(rec.device));
-  days_.increment(static_cast<std::uint64_t>(rec.day));
-  pattern_.add(rec.bits.view());
-  ++dq_count_freq_[static_cast<std::size_t>(rec.dq_count)];
-  ++beat_count_freq_[static_cast<std::size_t>(rec.beat_count)];
-  max_dq_ub_ = std::max(max_dq_ub_, rec.dq_count);
-  max_beats_ub_ = std::max(max_beats_ub_, rec.beat_count);
-  multibit_ += rec.multibit;
+  ++dq_count_freq_[rec.dq_count];
+  ++beat_count_freq_[rec.beat_count];
+  max_dq_ub_ = std::max<int>(max_dq_ub_, rec.dq_count);
+  max_beats_ub_ = std::max<int>(max_beats_ub_, rec.beat_count);
+  multibit_ += rec.bits > 1;
   cross_device_ += rec.cross_device;
 
-  push_record(std::move(rec));
+  times_.push_back(ce.time);
+  evictees_.push_back(rec);
+  for (const dram::ErrorBit& bit : bits) bits_.push_back(bit);
   ++next_seq_;
 }
 
 void WindowState::add_event(const dram::MemEvent& event) {
   if (event.type == dram::MemEventType::kCeStorm) {
-    storm_events_.emplace_back(event.time, false);
+    storm_events_.push_back({event.time, false});
     ++storms_;
   } else if (event.type == dram::MemEventType::kCeStormSuppressed) {
-    storm_events_.emplace_back(event.time, true);
+    storm_events_.push_back({event.time, true});
     ++suppressions_;
   }
 }
 
+void WindowState::evict_front() {
+  const Evictee& rec = evictees_.front();
+  if (cells_.decrement(rec.cell) == 0) {
+    columns_.decrement(rec.cell & 0xffffff000000ffffULL);
+  }
+  if (rows_.decrement(rec.cell >> 16) == 0) banks_.decrement(rec.cell >> 40);
+  devices_.decrement(static_cast<std::uint64_t>(rec.device));
+  for (std::uint32_t i = 0; i < rec.bits; ++i) {
+    pattern_.remove(bits_.front());
+    bits_.pop_front();
+  }
+  --dq_count_freq_[rec.dq_count];
+  --beat_count_freq_[rec.beat_count];
+  multibit_ -= rec.bits > 1;
+  cross_device_ -= rec.cross_device;
+  evictees_.pop_front();
+
+  const int day = day_of(times_.front());
+  times_.pop_front();
+  if (times_.empty() || day_of(times_.front()) != day) --active_days_;
+  ++front_seq_;
+  inter_dirty_ = true;  // the leading gap left the window
+}
+
 void WindowState::advance(SimTime t) {
   const SimTime window_start = t - windows_.observation;
-  while (count_ > 0 && rec_at(0).time <= window_start) {
-    const CeRecord& rec = rec_at(0);
-    cells_.decrement(rec.cell);
-    rows_.decrement(rec.cell >> 16);
-    columns_.decrement(rec.cell & 0xffffff000000ffffULL);
-    banks_.decrement(rec.cell >> 40);
-    devices_.decrement(static_cast<std::uint64_t>(rec.device));
-    days_.decrement(static_cast<std::uint64_t>(rec.day));
-    pattern_.remove(rec.bits.view());
-    --dq_count_freq_[static_cast<std::size_t>(rec.dq_count)];
-    --beat_count_freq_[static_cast<std::size_t>(rec.beat_count)];
-    multibit_ -= rec.multibit;
-    cross_device_ -= rec.cross_device;
-    pop_front_record();
-    ++front_seq_;
-    inter_dirty_ = true;  // the leading gap left the window
-  }
-  while (!storm_events_.empty() && storm_events_.front().first <= window_start) {
+  while (!times_.empty() && times_.front() <= window_start) evict_front();
+  while (!storm_events_.empty() &&
+         storm_events_.front().first <= window_start) {
     if (storm_events_.front().second) {
       --suppressions_;
     } else {
@@ -347,7 +317,7 @@ void WindowState::advance(SimTime t) {
     std::uint64_t seq = std::max(sub_seq_[sub], front_seq_);
     const SimTime cutoff = t - kSubWindows[sub];
     while (seq < next_seq_ &&
-           rec_at(static_cast<std::size_t>(seq - front_seq_)).time < cutoff) {
+           times_[static_cast<std::size_t>(seq - front_seq_)] < cutoff) {
       ++seq;
     }
     sub_seq_[sub] = seq;
@@ -359,23 +329,26 @@ void WindowState::finalize_interarrival() {
 }
 
 void WindowState::refold_interarrival() {
-  inter_sum_ = 0.0;
-  inter_sq_ = 0.0;
-  inter_min_ = 1e18;
+  // Local accumulators: the fold is a serial add chain, so keeping it out of
+  // memory is what bounds its cost per retained CE.
+  double sum = 0.0;
+  double sq = 0.0;
+  double min = 1e18;
   SimTime prev = -1;
-  std::size_t idx = head_;
-  for (std::size_t i = 0; i < count_; ++i) {
-    const SimTime time = records_[idx].time;
-    idx = (idx + 1) & rmask_;
+  for (std::size_t i = 0; i < times_.size(); ++i) {
+    const SimTime time = times_[i];
     if (prev >= 0) {
       const double gap_h =
           static_cast<double>(time - prev) / static_cast<double>(kHour);
-      inter_sum_ += gap_h;
-      inter_sq_ += gap_h * gap_h;
-      inter_min_ = std::min(inter_min_, gap_h);
+      sum += gap_h;
+      sq += gap_h * gap_h;
+      min = std::min(min, gap_h);
     }
     prev = time;
   }
+  inter_sum_ = sum;
+  inter_sq_ = sq;
+  inter_min_ = min;
   inter_dirty_ = false;
 }
 

@@ -9,8 +9,13 @@
 //
 //  - Integer aggregates (counts, distinct cardinalities, max-of-counts) are
 //    exactly decremental: count-decrement maps with erase-on-zero, plus a
-//    count-frequency histogram for max-of-counts (a single ±1 update moves
-//    the max by at most one, so it is maintained in O(1)).
+//    count-frequency histogram where a maximum is read (a single ±1 update
+//    moves the max by at most one, so it is maintained in O(1)).
+//  - Aggregates over a coarser level move only on transitions of the finer
+//    one: a column is present while any of its cells is, a bank while any of
+//    its rows is, and distinct days are the day boundaries along the
+//    time-ordered window. A repeated cell therefore touches three maps on
+//    add and three on evict.
 //  - Bit-level aggregates use dense (DQ × beat) occupancy arrays; interval /
 //    span statistics are recomputed from the ≤ total_dq + beats occupancy
 //    axes at emit time, which is exact and O(80).
@@ -22,12 +27,13 @@
 //    until an eviction invalidates it; the next emit then refolds the gaps
 //    of the surviving window once.
 //
-// The containers behind those aggregates are sized for the serving hot path
-// (one probe per CE across millions of streams): open-addressing FlatMap64
-// instead of node-based unordered containers, a power-of-two ring instead of
-// a deque for the window records, inline small-buffer storage for per-CE
-// error bits, and capped distinct-sets for the lifetime fault thresholds
-// (exact because a threshold comparison goes dead once its set saturates).
+// The window keeps its CEs in three FIFO rings in the same order: the times
+// (all that eviction, the sub-window cursors and the interarrival refold
+// read), a compact eviction record per CE, and the error bits of every CE
+// back to back. Aggregates live in open-addressing FlatMap64s, and the
+// lifetime fault thresholds use capped distinct-sets (exact because a
+// threshold comparison goes dead once its set saturates) that are touched
+// only on a cell's first sighting.
 //
 // OnlineExtractorState composes these with the lifetime fault state into the
 // streaming serving engine: a per-DIMM object that consumes appended CE /
@@ -39,6 +45,7 @@
 #include <cstdint>
 #include <deque>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -62,26 +69,42 @@ inline std::uint64_t pack_cell(const dram::CellCoord& c) {
          static_cast<std::uint64_t>(c.column & 0xffff);
 }
 
-/// Sliding multiset of keys: O(1) increment/decrement, distinct-key count,
-/// and exact maximum multiplicity (via a count-frequency histogram — one ±1
-/// step moves the max by at most one).
+/// Whether pack_cell keeps every field of `c` whole, so equal keys mean
+/// equal coordinates.
+inline bool packs_losslessly(const dram::CellCoord& c) {
+  return static_cast<unsigned>(c.rank) < (1u << 8) &&
+         static_cast<unsigned>(c.device) < (1u << 8) &&
+         static_cast<unsigned>(c.bank) < (1u << 8) &&
+         static_cast<unsigned>(c.row) < (1u << 24) &&
+         static_cast<unsigned>(c.column) < (1u << 16);
+}
+
+/// Sliding multiset of keys: O(1) increment/decrement and distinct-key
+/// count. Both updates return the key's new multiplicity, so callers can
+/// act on a key entering (1) or leaving (0) the set.
 class SlidingCountMap {
  public:
-  void increment(std::uint64_t key);
-  void decrement(std::uint64_t key);
+  int increment(std::uint64_t key) { return ++counts_[key]; }
+  int decrement(std::uint64_t key);
   std::size_t distinct() const { return counts_.size(); }
-  int max_count() const { return max_; }
 
  private:
   FlatMap64<int> counts_;
+};
+
+/// SlidingCountMap plus the exact maximum multiplicity, via a
+/// count-frequency histogram (one ±1 step moves the max by at most one).
+class SlidingMaxCountMap {
+ public:
+  int increment(std::uint64_t key);
+  int decrement(std::uint64_t key);
+  std::size_t distinct() const { return counts_.distinct(); }
+  int max_count() const { return max_; }
+
+ private:
+  SlidingCountMap counts_;
   std::vector<std::int64_t> freq_;  // freq_[c] = #keys with multiplicity c
   int max_ = 0;
-  // Last-key increment cache: storm bursts hammer one cell, so consecutive
-  // increments usually hit the same entry. The raw pointer is revalidated
-  // against the map generation (growth / erase moves slots).
-  std::uint64_t cached_key_ = 0;
-  int* cached_entry_ = nullptr;
-  std::uint64_t cached_generation_ = 0;
 };
 
 /// Exact distinct-value counter up to a per-threshold cap, saturating after.
@@ -123,29 +146,43 @@ struct AxisStats {
 
 AxisStats axis_stats(const std::vector<int>& occupancy);
 
-/// Per-CE error-bit payload with inline storage for the common small
-/// patterns; only pathological multi-bit patterns touch the heap.
-class SmallBits {
+/// Power-of-two FIFO ring: element i (0 = oldest) lives at
+/// slots_[(head_ + i) & mask_]. Growth doubles the buffer and unwraps the
+/// live elements in order.
+template <typename T>
+class Ring {
  public:
-  void assign(std::span<const dram::ErrorBit> bits) {
-    count_ = static_cast<std::uint32_t>(bits.size());
-    if (bits.size() <= kInline) {
-      for (std::size_t i = 0; i < bits.size(); ++i) inline_[i] = bits[i];
-      overflow_.clear();
-    } else {
-      overflow_.assign(bits.begin(), bits.end());
-    }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const T& operator[](std::size_t i) const {
+    return slots_[(head_ + i) & mask_];
   }
-  std::span<const dram::ErrorBit> view() const {
-    if (count_ <= kInline) return {inline_.data(), count_};
-    return {overflow_.data(), overflow_.size()};
+  const T& front() const { return slots_[head_]; }
+  const T& back() const { return (*this)[size_ - 1]; }
+
+  void push_back(const T& value) {
+    if (size_ == slots_.size()) grow();
+    slots_[(head_ + size_) & mask_] = value;
+    ++size_;
+  }
+  void pop_front() {
+    head_ = (head_ + 1) & mask_;
+    --size_;
   }
 
  private:
-  static constexpr std::size_t kInline = 12;
-  std::uint32_t count_ = 0;
-  std::array<dram::ErrorBit, kInline> inline_{};
-  std::vector<dram::ErrorBit> overflow_;
+  void grow() {
+    std::vector<T> grown(slots_.empty() ? 8 : slots_.size() * 2);
+    for (std::size_t i = 0; i < size_; ++i) grown[i] = (*this)[i];
+    slots_ = std::move(grown);
+    head_ = 0;
+    mask_ = slots_.size() - 1;
+  }
+
+  std::vector<T> slots_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+  std::size_t mask_ = 0;
 };
 
 /// Union of the error-bit patterns currently inside the window, maintained
@@ -154,8 +191,16 @@ class WindowPatternState {
  public:
   explicit WindowPatternState(const dram::Geometry& geometry);
 
+  /// Checks every bit against the transfer geometry before counting it.
   void add(std::span<const dram::ErrorBit> bits);
-  void remove(std::span<const dram::ErrorBit> bits);
+  void remove(dram::ErrorBit bit) {
+    const std::size_t dq = bit.dq;
+    const std::size_t beat = bit.beat;
+    if (--bit_counts_[dq * static_cast<std::size_t>(beats_) + beat] == 0) {
+      --dq_occupancy_[dq];
+      --beat_occupancy_[beat];
+    }
+  }
 
   AxisStats dq_stats() const { return axis_stats(dq_occupancy_); }
   AxisStats beat_stats() const { return axis_stats(beat_occupancy_); }
@@ -239,17 +284,6 @@ class LifetimeState {
   FlatMap64<BoundedDistinct> column_rows_;
   FlatMap64<BankState> banks_;
   FlatMap64<int> device_counts_;
-  // Last-cell probe cache: a repeated cell reuses the entries of all five
-  // maps (row/column/bank/device keys are prefixes of the cell key), which
-  // turns storm bursts into pointer chases. Revalidated against the map
-  // generations (these maps only grow, so a generation moves on rehash).
-  std::uint64_t cached_cell_ = ~0ULL;
-  int* cached_cell_count_ = nullptr;
-  BoundedDistinct* cached_row_cols_ = nullptr;
-  BoundedDistinct* cached_col_rows_ = nullptr;
-  BankState* cached_bank_ = nullptr;
-  int* cached_device_count_ = nullptr;
-  std::uint64_t cached_gens_[5] = {0, 0, 0, 0, 0};
   LifetimePatternState pattern_;
   SimTime first_ce_ = -1;
   SimTime last_ce_ = -1;
@@ -273,14 +307,14 @@ class WindowState {
   /// t - observation and advances the sub-window count boundaries.
   void advance(SimTime t);
 
-  std::size_t size() const { return count_; }
+  std::size_t size() const { return times_.size(); }
   std::uint64_t count_1h() const { return counts_since(0); }
   std::uint64_t count_6h() const { return counts_since(1); }
   std::uint64_t count_1d() const { return counts_since(2); }
   std::uint64_t count_3d() const { return counts_since(3); }
   int storms() const { return storms_; }
   int suppressions() const { return suppressions_; }
-  std::size_t active_days() const { return days_.distinct(); }
+  std::size_t active_days() const { return active_days_; }
 
   /// Refolds the interarrival aggregates if an eviction invalidated them,
   /// then reads them. Call only at emit time.
@@ -306,43 +340,40 @@ class WindowState {
   int cross_device_ces() const { return cross_device_; }
 
  private:
-  /// Per-CE payload retained while the CE is inside the window, with the
-  /// derived values precomputed once at add time.
-  struct CeRecord {
-    SimTime time = 0;
+  /// What evicting a CE needs besides its time, with the derived values
+  /// precomputed once at add time. Its error bits are the next `bits`
+  /// entries of bits_.
+  struct Evictee {
     std::uint64_t cell = 0;
-    int device = 0;
-    int day = 0;
-    int dq_count = 0;
-    int beat_count = 0;
-    bool multibit = false;
+    std::int32_t device = 0;
+    std::uint32_t bits = 0;
+    std::uint16_t dq_count = 0;    // distinct 8-bit DQ indices: <= 256
+    std::uint16_t beat_count = 0;  // distinct 8-bit beat indices: <= 256
     bool cross_device = false;
-    SmallBits bits;
   };
 
   std::uint64_t counts_since(int sub) const {
     return next_seq_ - sub_seq_[sub];
   }
+  static int day_of(SimTime time) { return static_cast<int>(time / kDay); }
+  void evict_front();
   void refold_interarrival();
-
-  // records_ is a power-of-two ring: element i of the window (0 = oldest)
-  // lives at records_[(head_ + i) & rmask_].
-  CeRecord& rec_at(std::size_t i) { return records_[(head_ + i) & rmask_]; }
-  void push_record(CeRecord&& rec);
-  void pop_front_record();
 
   PredictionWindows windows_;
   dram::Geometry geometry_;
-  std::vector<CeRecord> records_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-  std::size_t rmask_ = 0;
-  std::uint64_t front_seq_ = 0;  // sequence number of the oldest record
+  // The window's CEs, oldest first, split into three rings of one order.
+  Ring<SimTime> times_;
+  Ring<Evictee> evictees_;
+  Ring<dram::ErrorBit> bits_;
+  std::uint64_t front_seq_ = 0;  // sequence number of the oldest CE
   std::uint64_t next_seq_ = 0;   // sequence number of the next add
   // First CE inside each trailing sub-window (1h / 6h / 1d / 3d).
   std::uint64_t sub_seq_[4] = {0, 0, 0, 0};
+  // Days are non-decreasing along the window, so the distinct days are the
+  // runs of equal days: this counts the day boundaries plus one.
+  std::size_t active_days_ = 0;
 
-  std::deque<std::pair<SimTime, bool>> storm_events_;  // (time, suppressed)
+  Ring<std::pair<SimTime, bool>> storm_events_;  // (time, suppressed)
   int storms_ = 0;
   int suppressions_ = 0;
 
@@ -352,11 +383,10 @@ class WindowState {
   bool inter_dirty_ = false;
 
   SlidingCountMap cells_;
-  SlidingCountMap rows_;  // doubles as the per-row CE multiset (max_row_ces)
-  SlidingCountMap columns_;
-  SlidingCountMap banks_;
-  SlidingCountMap devices_;
-  SlidingCountMap days_;
+  SlidingMaxCountMap rows_;  // doubles as the per-row CE multiset (max_row_ces)
+  SlidingCountMap columns_;  // keys: columns; counts: present cells
+  SlidingCountMap banks_;    // keys: banks; counts: present rows
+  SlidingMaxCountMap devices_;
 
   WindowPatternState pattern_;
   std::vector<std::int64_t> dq_count_freq_;    // per-CE dq_count histogram

@@ -442,6 +442,128 @@ sim::DimmTrace ue_truncated_trace(std::uint64_t seed) {
   return trace;
 }
 
+/// Edge-case trace for the split window rings and the transition-gated
+/// aggregates; each phase aims at one update rule of the window state:
+///  - a CE every 3 hours for 12 days cycling 1-, 2- and 14-bit patterns (the
+///    14-bit one spans four devices), then a 300-CE burst on day 12: the
+///    time, record and bit rings wrap once evictions start and then grow
+///    while wrapped, with the bit ring out of step with the other two;
+///  - one cell seen on day 1, gone from the window after day 6, seen again on
+///    day 8 and repeated while present;
+///  - two cells of one row, two rows of one column and two rows of one bank,
+///    the older of each pair leaving the window first;
+///  - CEs exactly on day boundaries (also exactly at t - observation for the
+///    tick five days later) and on both sides of one;
+///  - a row, a column and a bank collecting more distinct columns / rows
+///    than their fault thresholds and then repeating their first cell;
+///  - storm and suppression events, and a tail of isolated CEs that empties
+///    the window between them.
+sim::DimmTrace edge_case_trace() {
+  sim::DimmTrace trace;
+  trace.id = 77;
+  trace.config.manufacturer = dram::Manufacturer::kA;
+  trace.config.process = dram::DramProcess::k1y;
+  trace.config.frequency_mhz = 2933;
+  trace.workload.memory_utilization = 0.4f;
+  std::vector<dram::CeEvent> ces;
+  const auto add = [&ces](SimTime time, dram::CellCoord coord,
+                          std::vector<dram::ErrorBit> bits) {
+    dram::CeEvent ce;
+    ce.time = time;
+    ce.coord = coord;
+    ce.pattern = dram::ErrorPattern(std::move(bits));
+    ces.push_back(std::move(ce));
+  };
+  const auto bits_of = [](int k) {
+    std::vector<dram::ErrorBit> bits;
+    switch (k % 3) {
+      case 0:
+        bits.push_back({static_cast<std::uint8_t>(k % 72),
+                        static_cast<std::uint8_t>(k % 8)});
+        break;
+      case 1:  // two lanes of one x4 device
+        bits.push_back({static_cast<std::uint8_t>(4 * (k % 18)),
+                        static_cast<std::uint8_t>(k % 8)});
+        bits.push_back({static_cast<std::uint8_t>(4 * (k % 18) + 1),
+                        static_cast<std::uint8_t>((k + 3) % 8)});
+        break;
+      default:  // 14 bits over lanes 8..21: devices 2-5, past 12 inline bits
+        for (int i = 0; i < 14; ++i) {
+          bits.push_back({static_cast<std::uint8_t>(8 + i),
+                          static_cast<std::uint8_t>((k + i) % 8)});
+        }
+        break;
+    }
+    return bits;
+  };
+
+  // Ring fill, wrap and growth while wrapped.
+  for (int k = 0; k < 96; ++k) {
+    add(hours(3) * k + minutes(10), {k % 2, k % 5, k % 3, 40 + k % 7, k % 11},
+        bits_of(k));
+  }
+  for (int k = 0; k < 300; ++k) {
+    add(days(12) + hours(1) + 30 * k, {1, 4 + k % 3, 8, 900 + k % 13, k % 17},
+        bits_of(k + 1));
+  }
+
+  // A cell that leaves the window and comes back.
+  const dram::CellCoord returning{0, 3, 4, 100, 7};
+  add(days(1) + minutes(30), returning, {{12, 1}});
+  add(days(8), returning, {{12, 2}});
+  add(days(8) + hours(2), returning, {{12, 2}});
+
+  // One of several cells leaving a row, a column and a bank.
+  add(days(2) + hours(2), {1, 2, 5, 200, 10}, {{8, 0}});
+  add(days(4) + hours(2), {1, 2, 5, 200, 11}, {{8, 1}});
+  add(days(2) + hours(3), {1, 2, 5, 300, 20}, {{9, 0}});
+  add(days(4) + hours(3), {1, 2, 5, 301, 20}, {{9, 1}});
+  add(days(2) + hours(4), {1, 2, 6, 400, 30}, {{10, 0}});
+  add(days(3) + hours(4), {1, 2, 6, 401, 31}, {{10, 1}});
+
+  // Day boundaries, which are also eviction boundaries five days on, and a
+  // cross-device pair across the lane 3 / lane 4 device edge.
+  add(days(3), {0, 6, 1, 10, 1}, {{3, 0}, {4, 0}});
+  add(days(4), {0, 6, 1, 10, 2}, {{3, 5}});
+  add(days(9), {0, 6, 1, 10, 1}, {{4, 7}});
+  add(days(10) - 1, {0, 6, 1, 11, 1}, {{3, 3}, {4, 4}});
+  add(days(10), {0, 6, 1, 11, 1}, {{5, 3}});
+
+  // Saturated row, column and bank sets, then their first cell again.
+  for (int c = 0; c < 5; ++c) {
+    add(days(13) + hours(c), {0, 7, 9, 500, c}, {{28, 2}});
+  }
+  for (int r = 0; r < 4; ++r) {
+    add(days(13) + hours(5 + r), {0, 7, 9, 600 + r, 50}, {{29, 2}});
+  }
+  for (int i = 0; i < 7; ++i) {
+    add(days(13) + hours(10 + i), {0, 8, 2, 700 + i, 60 + i}, {{33, 6}});
+  }
+  add(days(14) + hours(1), {0, 7, 9, 500, 0}, {{28, 3}});
+  add(days(14) + hours(2), {0, 7, 9, 600, 50}, {{29, 3}});
+  add(days(14) + hours(3), {0, 8, 2, 700, 60}, {{33, 7}});
+
+  // Isolated tail CEs, each alone in its window.
+  add(days(22) + hours(5), {1, 0, 0, 1, 1}, {{0, 0}});
+  add(days(29), {1, 0, 0, 1, 1}, {{70, 7}, {71, 7}});
+
+  for (const auto& [time, type] :
+       {std::pair{days(2) + hours(2), dram::MemEventType::kCeStorm},
+        std::pair{days(7) + hours(2), dram::MemEventType::kCeStormSuppressed},
+        std::pair{days(12) + hours(1), dram::MemEventType::kCeStorm}}) {
+    dram::MemEvent event;
+    event.time = time;
+    event.type = type;
+    trace.events.push_back(event);
+  }
+  std::stable_sort(ces.begin(), ces.end(),
+                   [](const dram::CeEvent& a, const dram::CeEvent& b) {
+                     return a.time < b.time;
+                   });
+  trace.ces = std::move(ces);
+  return trace;
+}
+
 // ---------------------------------------------------------------------------
 // Hashing
 // ---------------------------------------------------------------------------
@@ -477,6 +599,7 @@ PredictionWindows test_windows() {
 constexpr std::uint64_t kGoldenStormHash = 17739176330598536077ULL;
 constexpr std::uint64_t kGoldenSparseHash = 5198835115104375519ULL;
 constexpr std::uint64_t kGoldenUeHash = 8647230958712640813ULL;
+constexpr std::uint64_t kGoldenEdgeCaseHash = 14770206838711567263ULL;
 
 void expect_identical(const std::vector<Sample>& naive,
                       const std::vector<Sample>& incremental) {
@@ -552,6 +675,79 @@ TEST(ExtractorIncremental, UeTruncatedMatchesNaiveByteForByte) {
   expect_identical(naive, incremental);
   EXPECT_EQ(hash_samples(naive), kGoldenUeHash);
   EXPECT_EQ(hash_samples(incremental), kGoldenUeHash);
+}
+
+TEST(ExtractorIncremental, EdgeCasesMatchNaiveByteForByte) {
+  const PredictionWindows windows = test_windows();
+  const FaultThresholds thresholds;
+  const FeatureExtractor extractor(windows, thresholds);
+  const sim::DimmTrace trace = edge_case_trace();
+  const SimTime horizon = days(31);
+
+  const std::vector<Sample> naive = naive_extract(
+      trace, horizon, windows, thresholds, extractor.schema().size());
+  ASSERT_FALSE(naive.empty());
+  EXPECT_EQ(hash_samples(naive), kGoldenEdgeCaseHash);
+  // The isolated tail must empty the window between its CEs.
+  ASSERT_LT(naive.size(), static_cast<std::size_t>(horizon / windows.cadence));
+  expect_identical(naive, extractor.extract(trace, horizon));
+
+  // The same ticks through both streaming entry points: the direct fold the
+  // serving engine uses, and the queue that observe_* feeds.
+  OnlineExtractorState direct =
+      extractor.open_stream(trace.config, trace.workload);
+  OnlineExtractorState queued =
+      extractor.open_stream(trace.config, trace.workload);
+  std::size_t next_ce = 0;
+  std::size_t next_event = 0;
+  std::vector<Sample> direct_samples;
+  std::vector<Sample> queued_samples;
+  std::vector<float> features;
+  for (SimTime t = windows.cadence; t <= horizon; t += windows.cadence) {
+    for (; next_ce < trace.ces.size() && trace.ces[next_ce].time <= t;
+         ++next_ce) {
+      direct.ingest_ce_at(t, trace.ces[next_ce]);
+      queued.observe_ce(trace.ces[next_ce]);
+    }
+    for (; next_event < trace.events.size() &&
+           trace.events[next_event].time <= t;
+         ++next_event) {
+      direct.ingest_event_at(t, trace.events[next_event]);
+      queued.observe_event(trace.events[next_event]);
+    }
+    for (auto [stream, out] : {std::pair{&direct, &direct_samples},
+                               std::pair{&queued, &queued_samples}}) {
+      stream->features_at(t, features);
+      if (features.empty()) continue;
+      Sample sample;
+      sample.time = t;
+      sample.features = features;
+      out->push_back(std::move(sample));
+    }
+  }
+  expect_identical(naive, direct_samples);
+  expect_identical(naive, queued_samples);
+
+  // Off-cadence queries, so window ends fall between CEs too.
+  OnlineExtractorState offset =
+      extractor.open_stream(trace.config, trace.workload);
+  next_ce = 0;
+  next_event = 0;
+  for (SimTime t = hours(5); t <= horizon; t += hours(7)) {
+    for (; next_ce < trace.ces.size() && trace.ces[next_ce].time <= t;
+         ++next_ce) {
+      offset.ingest_ce_at(t, trace.ces[next_ce]);
+    }
+    for (; next_event < trace.events.size() &&
+           trace.events[next_event].time <= t;
+         ++next_event) {
+      offset.ingest_event_at(t, trace.events[next_event]);
+    }
+    offset.features_at(t, features);
+    ASSERT_EQ(features, naive_features_at(trace, t, windows, thresholds,
+                                          extractor.schema().size()))
+        << "streaming divergence at t=" << t;
+  }
 }
 
 TEST(ExtractorIncremental, ParallelExtractionIdenticalAtEveryThreadCount) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <unordered_map>
+
+#include "common/flat_map.h"
+#include "common/rng.h"
 #include "common/string_utils.h"
 #include "common/table.h"
 #include "common/time.h"
@@ -12,6 +17,39 @@ TEST(Time, Conversions) {
   EXPECT_EQ(hours(1), 3600);
   EXPECT_EQ(days(1), 86400);
   EXPECT_EQ(days(5), 5 * 24 * 3600);
+}
+
+// Inserts, increments and erases over a small key range, so probe chains
+// run long and backward-shift erasure moves entries across the wrap of the
+// slot array; every step is checked against std::unordered_map.
+TEST(FlatMap64, MatchesUnorderedMapUnderChurn) {
+  Rng rng(17);
+  FlatMap64<int> flat;
+  std::unordered_map<std::uint64_t, int> reference;
+  for (int step = 0; step < 20000; ++step) {
+    // High-bit keys, like packed cell addresses.
+    const std::uint64_t key = rng.uniform_u64(96) << 40;
+    if (rng.bernoulli(0.55)) {
+      EXPECT_EQ(++flat[key], ++reference[key]);
+    } else if (reference.count(key) != 0) {
+      flat.erase(key);
+      reference.erase(key);
+    }
+    ASSERT_EQ(flat.size(), reference.size());
+    const int* found = flat.find(key);
+    ASSERT_EQ(found != nullptr, reference.count(key) != 0);
+    if (found != nullptr) {
+      EXPECT_EQ(*found, reference.at(key));
+    }
+  }
+  for (std::uint64_t k = 0; k < 96; ++k) {
+    const int* found = flat.find(k << 40);
+    const auto it = reference.find(k << 40);
+    ASSERT_EQ(found != nullptr, it != reference.end());
+    if (found != nullptr) {
+      EXPECT_EQ(*found, it->second);
+    }
+  }
 }
 
 TEST(StringUtils, Split) {

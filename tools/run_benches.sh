@@ -7,7 +7,10 @@
 #   BENCH_extract.json  BM_Extract / BM_FeaturesAt (incremental sliding-
 #                       window extraction + streaming serving) and
 #                       BM_Gemm / BM_GemmBt (dense kernel unrolling) vs the
-#                       pre-incremental baseline — rerun after changes to
+#                       pre-incremental baseline, and BM_StreamStorm (one
+#                       CE-storm DIMM through the serving fold) vs the
+#                       pre-split-ring window; medians of 5 repetitions
+#                       with their range — rerun after changes to
 #                       src/features/ or src/ml/tensor.cc.
 #   BENCH_predict.json  BM_ForestPredict / BM_GbdtPredict row-count scaling
 #                       of the flat batched inference engine. The baseline
@@ -45,6 +48,11 @@
 #                       src/core/stage_cache.*. Written by bench_campaign
 #                       itself.
 # Each file records the baseline, the current numbers, and the speedup.
+#
+# Usage: tools/run_benches.sh [SECTION...]
+#   SECTION is one of train extract predict simd fleet serving campaign and
+#   names the file it re-records (simd needs predict alongside); with none,
+#   every file is re-recorded.
 # The sanitizer refusal below covers every emitted file, BENCH_fleet.json
 # included: instrumented builds never record numbers.
 set -euo pipefail
@@ -66,8 +74,22 @@ if [ -n "$SANITIZE" ]; then
   exit 1
 fi
 
+SECTIONS="${*:-train extract predict simd fleet serving campaign}"
+want() { [[ " $SECTIONS " == *" $1 "* ]]; }
+for section in $SECTIONS; do
+  case "$section" in
+    train|extract|predict|simd|fleet|serving|campaign) ;;
+    *) echo "run_benches.sh: unknown section $section" >&2; exit 2 ;;
+  esac
+done
+if want simd && ! want predict; then
+  echo "run_benches.sh: simd reads the predict section's run; add predict" >&2
+  exit 2
+fi
+
 cmake --build "$BUILD" -j --target bench_micro
 
+if want train; then
 RAW="$BUILD/bench_train_raw.json"
 "$BUILD/bench/bench_micro" \
   --benchmark_filter='^BM_(GbdtTrain|TreeTrain)/' \
@@ -120,10 +142,13 @@ with open(out_path, "w") as f:
     f.write("\n")
 print(json.dumps(speedup, indent=2, sort_keys=True))
 EOF
+fi
 
+if want extract; then
 RAW_EXTRACT="$BUILD/bench_extract_raw.json"
 "$BUILD/bench/bench_micro" \
-  --benchmark_filter='^BM_(Extract|FeaturesAt|Gemm|GemmBt)$' \
+  --benchmark_filter='^BM_(Extract|FeaturesAt|StreamStorm|Gemm|GemmBt)$' \
+  --benchmark_repetitions=5 \
   --benchmark_out="$RAW_EXTRACT" --benchmark_out_format=json >&2
 
 python3 - "$RAW_EXTRACT" "$ROOT/BENCH_extract.json" <<'EOF'
@@ -134,44 +159,54 @@ raw_path, out_path = sys.argv[1], sys.argv[2]
 with open(raw_path) as f:
     raw = json.load(f)
 
-# Pre-incremental wall times (ms, median) measured at commit 65df1cd with
-# the same generators as the benches: BM_Extract = full-trace batch
-# extraction (storm-heavy, hourly cadence, 5000 ticks); BM_FeaturesAt = 200
-# successive per-DIMM serving calls (the old path deep-copied the trace and
-# rebuilt an extractor per call); BM_Gemm / BM_GemmBt = dense 256x64 @ 64x64
-# products before the unrolled kernels.
-BASELINE_MS = {
-    "BM_Extract": 800.0,
-    "BM_FeaturesAt": 391.0,
-    "BM_Gemm": 0.617,
-    "BM_GemmBt": 0.437,
+# Wall times (ms, median) before the change each bench tracks, measured
+# with the same generators as the benches. At commit 65df1cd, before
+# incremental extraction: BM_Extract = full-trace batch extraction
+# (storm-heavy, hourly cadence, 5000 ticks); BM_FeaturesAt = 200 successive
+# per-DIMM serving calls (the old path deep-copied the trace and rebuilt an
+# extractor per call); BM_Gemm / BM_GemmBt = dense 256x64 @ 64x64 products
+# before the unrolled kernels. At commit 5c7df8d, before the split window
+# rings: BM_StreamStorm = one CE-storm DIMM folded with ingest_ce_at and
+# scored every 6-hour tick (median of 5 repetitions, 4-CPU Xeon host).
+BASELINE = {
+    "BM_Extract": ("65df1cd", 800.0),
+    "BM_FeaturesAt": ("65df1cd", 391.0),
+    "BM_Gemm": ("65df1cd", 0.617),
+    "BM_GemmBt": ("65df1cd", 0.437),
+    "BM_StreamStorm": ("5c7df8d", 11.4),
 }
 
 UNIT_TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
 
+# Median over the repetitions, with the range of the repetitions as spread.
 current = {}
+spread = {}
 for entry in raw.get("benchmarks", []):
-    name = entry["name"]
-    if entry.get("run_type", "iteration") != "iteration":
+    name = entry.get("run_name", entry["name"])
+    if name not in BASELINE:
         continue
-    if name not in BASELINE_MS:
-        continue
-    scale = UNIT_TO_MS[entry.get("time_unit", "ns")]
-    current[name] = round(entry["real_time"] * scale, 4)
+    ms = round(entry["real_time"] * UNIT_TO_MS[entry.get("time_unit", "ns")], 4)
+    if entry.get("run_type", "iteration") == "iteration":
+        lo, hi = spread.get(name, (ms, ms))
+        spread[name] = (min(lo, ms), max(hi, ms))
+    elif entry.get("aggregate_name") == "median":
+        current[name] = ms
 
 speedup = {
     bench: round(base / current[bench], 2)
-    for bench, base in BASELINE_MS.items()
+    for bench, (_, base) in BASELINE.items()
     if current.get(bench)
 }
 
 out = {
     "generated_by": "tools/run_benches.sh",
     "threads": 1,
+    "repetitions": 5,
     "context": raw.get("context", {}),
-    "baseline_commit": "65df1cd",
-    "baseline_ms": BASELINE_MS,
+    "baseline_commit": {bench: commit for bench, (commit, _) in BASELINE.items()},
+    "baseline_ms": {bench: ms for bench, (_, ms) in BASELINE.items()},
     "current_ms": current,
+    "spread_ms": {bench: list(lo_hi) for bench, lo_hi in spread.items()},
     "speedup": speedup,
 }
 with open(out_path, "w") as f:
@@ -179,7 +214,9 @@ with open(out_path, "w") as f:
     f.write("\n")
 print(json.dumps(speedup, indent=2, sort_keys=True))
 EOF
+fi
 
+if want predict; then
 RAW_PREDICT="$BUILD/bench_predict_raw.json"
 "$BUILD/bench/bench_micro" \
   --benchmark_filter='^BM_(ForestPredict|GbdtPredict)(Walker)?/' \
@@ -236,7 +273,9 @@ with open(out_path, "w") as f:
     f.write("\n")
 print(json.dumps(speedup, indent=2, sort_keys=True))
 EOF
+fi
 
+if want simd; then
 # Per-dispatch-lane timings. The context block knows which lanes this host
 # can run (bench_micro stamps simd_supported into every raw file — reuse
 # the predict run's); each supported lane re-runs the tracked kernels with
@@ -304,15 +343,22 @@ with open(out_path, "w") as f:
     f.write("\n")
 print(json.dumps(speedup, indent=2, sort_keys=True))
 EOF
+fi
 
+if want fleet; then
 cmake --build "$BUILD" -j --target bench_fleet
 "$BUILD/bench/bench_fleet" "$ROOT/BENCH_fleet.json" >&2
 python3 -c "import json,sys; print(json.dumps(json.load(open(sys.argv[1]))['points'], indent=2))" "$ROOT/BENCH_fleet.json"
+fi
 
+if want serving; then
 cmake --build "$BUILD" -j --target bench_serving
 "$BUILD/bench/bench_serving" "$ROOT/BENCH_serving.json" >&2
 python3 -c "import json,sys; d=json.load(open(sys.argv[1])); print(json.dumps({'points': d['points'], 'storm': d['storm']}, indent=2))" "$ROOT/BENCH_serving.json"
+fi
 
+if want campaign; then
 cmake --build "$BUILD" -j --target bench_campaign
 "$BUILD/bench/bench_campaign" "$ROOT/BENCH_campaign.json" >&2
 python3 -c "import json,sys; d=json.load(open(sys.argv[1])); print(json.dumps({'naive': d['naive'], 'shared': d['shared'], 'speedup': d['speedup']}, indent=2))" "$ROOT/BENCH_campaign.json"
+fi
