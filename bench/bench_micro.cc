@@ -6,12 +6,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "bench_common.h"
 #include "common/json.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
+#include "core/fleet_driver.h"
 #include "core/pipeline.h"
 #include "dram/ecc.h"
 #include "dram/fault.h"
@@ -21,6 +24,7 @@
 #include "ml/random_forest.h"
 #include "sim/dimm_sim.h"
 #include "sim/fleet.h"
+#include "sim/trace_store.h"
 
 namespace {
 
@@ -236,6 +240,40 @@ void BM_StreamStorm(benchmark::State& state) {
                           static_cast<std::int64_t>(trace.ces.size()));
 }
 BENCHMARK(BM_StreamStorm)->Unit(benchmark::kMillisecond);
+
+// The store's read-side decode on one thread: every record of one fixed
+// shard, the fleet-batch shard shape (a Purley fleet of 4096 planned DIMMs,
+// seed 1234, 8-week horizon), decoded into a DimmTrace and dropped. The file
+// read and region checksum happen once, outside the timed loop.
+void BM_ShardDecode(benchmark::State& state) {
+  const sim::ScenarioParams base = sim::purley_scenario(1234);
+  sim::ScenarioParams params =
+      base.scaled(4096.0 / static_cast<double>(sim::plan_fleet(base).total()));
+  params.horizon = days(56);
+  sim::FleetPlanner planner(params);
+  const std::vector<sim::PlannedDimm> jobs =
+      planner.take(planner.plan().total());
+  sim::DimmSimParams sim_params;
+  sim_params.horizon = params.horizon;
+  const sim::DimmSimulator simulator(params.platform, sim_params);
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "memfp_bench_shard_decode.mft")
+                               .string();
+  const core::SimulatedShard shard =
+      core::simulate_shard(jobs, params, simulator, dram::Geometry::ddr4_x4(),
+                           path, sim::kFnvOffset);
+  const sim::TraceReader reader(path);
+  std::remove(path.c_str());
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < reader.dimm_count(); ++i) {
+      const sim::DimmTrace trace = reader.read_dimm(i);
+      benchmark::DoNotOptimize(trace.ces.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(shard.stats.ce_records));
+}
+BENCHMARK(BM_ShardDecode)->Unit(benchmark::kMillisecond);
 
 ml::Dataset bench_dataset(std::size_t rows) {
   Rng rng(4);

@@ -1,6 +1,7 @@
 #include "baseline/risky_ce_pattern.h"
 
 #include <algorithm>
+#include <span>
 
 namespace memfp::baseline {
 namespace {
@@ -26,7 +27,8 @@ class TraceReplay {
     std::vector<dram::ErrorPattern> maps;  // per device
     std::vector<GrowthPoint> latest;       // per device
     for (std::size_t i = 0; i < trace.ces.size(); ++i) {
-      const std::vector<dram::ErrorBit>& bits = trace.ces[i].pattern.bits();
+      const std::span<const dram::ErrorBit> bits =
+          trace.ces[i].pattern.bits();
       // Bits are sorted by lane and a device owns adjacent lanes, so each
       // touched device's bits form one run.
       for (std::size_t b = 0; b < bits.size();) {

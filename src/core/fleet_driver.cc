@@ -129,10 +129,10 @@ FleetDriverResult run_fleet_driver(const sim::ScenarioParams& params,
     // Drop the simulated residents: from here on the shard is read back
     // from its encoded form, exactly as a later training run would. Index 0
     // (usually claimed by the calling thread) reads and verifies the shard
-    // while index 1 frees them, one heap free per CE pattern. The frees stay
-    // on one thread, as frees spread across threads contend on the
-    // allocator's arena locks; swapping the two roles raised fleet-batch
-    // peak RSS by ~12% on 4 CPUs.
+    // while index 1 frees them, one CE-vector free per DIMM (patterns are
+    // stored inline). The frees stay on one thread, as frees spread across
+    // threads contend on the allocator's arena locks; swapping the two roles
+    // raised fleet-batch peak RSS by ~12% on 4 CPUs.
     std::optional<sim::TraceReader> reader;
     ThreadPool::global().parallel_for(
         2,

@@ -12,7 +12,7 @@ namespace {
 class IndexSet {
  public:
   template <typename Extract>
-  IndexSet(const std::vector<ErrorBit>& bits, Extract extract) {
+  IndexSet(std::span<const ErrorBit> bits, Extract extract) {
     for (const ErrorBit& bit : bits) {
       const auto value = static_cast<unsigned>(extract(bit));
       std::uint64_t& word = words_[value >> 6];
@@ -63,38 +63,66 @@ int beat_of(const ErrorBit& bit) { return bit.beat; }
 
 }  // namespace
 
-ErrorPattern::ErrorPattern(std::vector<ErrorBit> bits) : bits_(std::move(bits)) {
-  std::sort(bits_.begin(), bits_.end());
-  bits_.erase(std::unique(bits_.begin(), bits_.end()), bits_.end());
+ErrorPattern::ErrorPattern(std::vector<ErrorBit> bits) {
+  std::sort(bits.begin(), bits.end());
+  bits.erase(std::unique(bits.begin(), bits.end()), bits.end());
+  if (bits.size() > kInline) {
+    spill_ = std::move(bits);
+    return;
+  }
+  std::copy(bits.begin(), bits.end(), inline_.begin());
+  size_ = static_cast<std::uint32_t>(bits.size());
 }
 
 void ErrorPattern::add(ErrorBit bit) {
-  const auto it = std::lower_bound(bits_.begin(), bits_.end(), bit);
-  if (it != bits_.end() && *it == bit) return;
-  bits_.insert(it, bit);
+  if (!spill_.empty()) {
+    const auto it = std::lower_bound(spill_.begin(), spill_.end(), bit);
+    if (it == spill_.end() || *it != bit) spill_.insert(it, bit);
+    return;
+  }
+  ErrorBit* const first = inline_.data();
+  ErrorBit* const last = first + size_;
+  ErrorBit* const it = std::lower_bound(first, last, bit);
+  if (it != last && *it == bit) return;
+  if (size_ < kInline) {
+    std::copy_backward(it, last, last + 1);
+    *it = bit;
+    ++size_;
+    return;
+  }
+  // One bit past the inline capacity: every bit moves to the spill.
+  spill_.reserve(kInline + 1);
+  spill_.assign(first, it);
+  spill_.push_back(bit);
+  spill_.insert(spill_.end(), it, last);
+  size_ = 0;
 }
 
-int ErrorPattern::dq_count() const { return IndexSet(bits_, dq_of).count(); }
+bool ErrorPattern::operator==(const ErrorPattern& other) const {
+  return std::ranges::equal(bits(), other.bits());
+}
+
+int ErrorPattern::dq_count() const { return IndexSet(bits(), dq_of).count(); }
 
 int ErrorPattern::beat_count() const {
-  return IndexSet(bits_, beat_of).count();
+  return IndexSet(bits(), beat_of).count();
 }
 
 int ErrorPattern::max_dq_interval() const {
-  return IndexSet(bits_, dq_of).max_gap();
+  return IndexSet(bits(), dq_of).max_gap();
 }
 
 int ErrorPattern::max_beat_interval() const {
-  return IndexSet(bits_, beat_of).max_gap();
+  return IndexSet(bits(), beat_of).max_gap();
 }
 
-int ErrorPattern::beat_span() const { return IndexSet(bits_, beat_of).span(); }
+int ErrorPattern::beat_span() const { return IndexSet(bits(), beat_of).span(); }
 
-int ErrorPattern::dq_span() const { return IndexSet(bits_, dq_of).span(); }
+int ErrorPattern::dq_span() const { return IndexSet(bits(), dq_of).span(); }
 
 std::vector<int> ErrorPattern::devices(const Geometry& geometry) const {
   std::vector<int> values;
-  for (const ErrorBit& bit : bits_) {
+  for (const ErrorBit& bit : bits()) {
     // Bits are sorted by lane and a device owns adjacent lanes, so equal
     // devices are contiguous.
     const int device = geometry.device_of_dq(static_cast<int>(bit.dq));
@@ -106,7 +134,7 @@ std::vector<int> ErrorPattern::devices(const Geometry& geometry) const {
 int ErrorPattern::device_count(const Geometry& geometry) const {
   int count = 0;
   int previous = -1;
-  for (const ErrorBit& bit : bits_) {
+  for (const ErrorBit& bit : bits()) {
     const int device = geometry.device_of_dq(static_cast<int>(bit.dq));
     if (device != previous) ++count;
     previous = device;
@@ -119,7 +147,7 @@ bool ErrorPattern::single_device(const Geometry& geometry) const {
 }
 
 void ErrorPattern::merge(const ErrorPattern& other) {
-  for (const ErrorBit& bit : other.bits_) add(bit);
+  for (const ErrorBit& bit : other.bits()) add(bit);
 }
 
 }  // namespace memfp::dram

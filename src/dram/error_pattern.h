@@ -4,7 +4,9 @@
 // operate on.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dram/geometry.h"
@@ -22,15 +24,27 @@ struct ErrorBit {
 
 /// Set of flipped bits in one transfer. Deduplicated and kept sorted so
 /// pattern statistics are deterministic.
+///
+/// Up to kInline bits are stored inline, so a simulated or decoded CE costs
+/// no heap allocation: no simulated transfer errs on more than 6 bits. Only
+/// a pattern that outgrows that (a DIMM-lifetime map, a hostile decode)
+/// moves its bits to a heap spill.
 class ErrorPattern {
  public:
+  static constexpr std::size_t kInline = 6;
+
   ErrorPattern() = default;
   explicit ErrorPattern(std::vector<ErrorBit> bits);
 
   void add(ErrorBit bit);
-  bool empty() const { return bits_.empty(); }
-  std::size_t bit_count() const { return bits_.size(); }
-  const std::vector<ErrorBit>& bits() const { return bits_; }
+  bool empty() const { return bit_count() == 0; }
+  std::size_t bit_count() const {
+    return spill_.empty() ? size_ : spill_.size();
+  }
+  std::span<const ErrorBit> bits() const {
+    if (spill_.empty()) return {inline_.data(), size_};
+    return spill_;
+  }
 
   /// Number of distinct DQ lanes carrying errors.
   int dq_count() const;
@@ -56,10 +70,15 @@ class ErrorPattern {
   /// DIMM-lifetime error-bit map, as [30] does).
   void merge(const ErrorPattern& other);
 
-  bool operator==(const ErrorPattern&) const = default;
+  bool operator==(const ErrorPattern& other) const;
 
  private:
-  std::vector<ErrorBit> bits_;  // sorted, unique
+  // The bits, sorted and unique, live either in inline_[0, size_) with
+  // spill_ empty, or all in spill_ with size_ 0. "Spilled" means "spill_ is
+  // non-empty", so the defaulted move leaves a moved-from pattern empty.
+  std::array<ErrorBit, kInline> inline_{};
+  std::uint32_t size_ = 0;
+  std::vector<ErrorBit> spill_;
 };
 
 }  // namespace memfp::dram

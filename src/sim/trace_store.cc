@@ -149,7 +149,7 @@ dram::CellCoord decode_coord(Cursor& in) {
 /// single-lane pattern costs 3 bytes total.
 void encode_pattern(const dram::ErrorPattern& pattern,
                     std::vector<std::uint8_t>& out) {
-  const std::vector<dram::ErrorBit>& bits = pattern.bits();
+  const std::span<const dram::ErrorBit> bits = pattern.bits();
   std::uint64_t groups = 0;
   for (std::size_t i = 0; i < bits.size(); ++i) {
     if (i == 0 || bits[i].dq != bits[i - 1].dq) ++groups;
@@ -171,25 +171,29 @@ void encode_pattern(const dram::ErrorPattern& pattern,
   }
 }
 
-dram::ErrorPattern decode_pattern(Cursor& in) {
+/// Decodes into `pattern`, which must be empty. The bits are added in
+/// place: a canonical record brings them sorted, and add() sorts and
+/// deduplicates a non-canonical one (a repeated lane group) exactly as the
+/// ErrorPattern(std::vector) constructor would.
+void decode_pattern(Cursor& in, dram::ErrorPattern& pattern) {
   const std::uint64_t groups = in.varint();
-  std::vector<dram::ErrorBit> bits;
   int dq = 0;
   for (std::uint64_t g = 0; g < groups; ++g) {
-    dq += in.varint_int();
-    MEMFP_CHECK_LE(dq, 0xff)
+    // Bounded before the add, so a hostile delta cannot overflow `dq`.
+    const int delta = in.varint_int();
+    MEMFP_CHECK_LE(delta, 0xff - dq)
         << "trace store: DQ lane exceeds 8 bits" << in.context();
+    dq += delta;
     const std::uint8_t mask = in.byte();
     MEMFP_CHECK_NE(mask, 0u)
         << "trace store: empty beat mask group" << in.context();
     for (int beat = 0; beat < 8; ++beat) {
       if (mask & (1u << beat)) {
-        bits.push_back({static_cast<std::uint8_t>(dq),
-                        static_cast<std::uint8_t>(beat)});
+        pattern.add({static_cast<std::uint8_t>(dq),
+                     static_cast<std::uint8_t>(beat)});
       }
     }
   }
-  return dram::ErrorPattern(std::move(bits));
 }
 
 void encode_f32(float value, std::vector<std::uint8_t>& out) {
@@ -290,7 +294,7 @@ DimmTrace decode_dimm_record(std::span<const std::uint8_t> payload,
   trace.ces.reserve(ces);
   SimTime prev = 0;
   for (std::uint64_t i = 0; i < ces; ++i) {
-    dram::CeEvent ce;
+    dram::CeEvent& ce = trace.ces.emplace_back();
     const std::uint64_t delta = in.varint();
     MEMFP_CHECK_LE(delta, static_cast<std::uint64_t>(
                               std::numeric_limits<SimTime>::max() - prev))
@@ -298,8 +302,7 @@ DimmTrace decode_dimm_record(std::span<const std::uint8_t> payload,
     ce.time = prev + static_cast<SimTime>(delta);
     prev = ce.time;
     ce.coord = decode_coord(in);
-    ce.pattern = decode_pattern(in);
-    trace.ces.push_back(std::move(ce));
+    decode_pattern(in, ce.pattern);
   }
 
   const std::uint64_t events = in.varint();
@@ -331,7 +334,7 @@ DimmTrace decode_dimm_record(std::span<const std::uint8_t> payload,
         << "trace store: UE timestamp overflows SimTime" << context;
     ue.time = static_cast<SimTime>(time);
     ue.coord = decode_coord(in);
-    ue.pattern = decode_pattern(in);
+    decode_pattern(in, ue.pattern);
     const std::uint8_t prior = in.byte();
     MEMFP_CHECK_LE(prior, 1u)
         << "trace store: invalid had_prior_ce flag" << context;

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
+#include "dram/events.h"
 
 namespace memfp::dram {
 namespace {
@@ -104,6 +108,117 @@ TEST(ErrorPattern, MergeIsIdempotent) {
   ErrorPattern copy = a;
   a.merge(copy);
   EXPECT_EQ(a, copy);
+}
+
+void expect_bits(const ErrorPattern& p, const std::set<ErrorBit>& reference) {
+  EXPECT_EQ(p.bit_count(), reference.size());
+  EXPECT_EQ(p.empty(), reference.empty());
+  EXPECT_TRUE(std::ranges::equal(p.bits(), reference));
+}
+
+/// `count` distinct bits, lanes `first_dq` upwards.
+ErrorPattern distinct_bits(std::size_t count, int first_dq) {
+  std::vector<ErrorBit> bits;
+  for (std::size_t i = 0; i < count; ++i) {
+    bits.push_back({static_cast<std::uint8_t>(first_dq + static_cast<int>(i)),
+                    static_cast<std::uint8_t>(i % 8)});
+  }
+  return ErrorPattern(std::move(bits));
+}
+
+TEST(ErrorPattern, InlineAndSpillMatchSetReference) {
+  // Bits drawn from a 4x4 corner of the burst repeat often, and 0-12 draws
+  // put the distinct count on both sides of the inline capacity.
+  Rng rng(620);
+  std::set<std::size_t> sizes_seen;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<ErrorBit> draws;
+    const auto n = rng.uniform_int(0, 12);
+    for (std::int64_t i = 0; i < n; ++i) {
+      draws.push_back({static_cast<std::uint8_t>(rng.uniform_int(0, 3)),
+                       static_cast<std::uint8_t>(rng.uniform_int(0, 3))});
+    }
+    const std::set<ErrorBit> reference(draws.begin(), draws.end());
+    sizes_seen.insert(reference.size());
+
+    ErrorPattern added;
+    for (const ErrorBit& bit : draws) added.add(bit);
+    expect_bits(added, reference);
+    const ErrorPattern constructed(draws);
+    expect_bits(constructed, reference);
+    EXPECT_EQ(added, constructed);
+
+    // Merge two halves built along different paths, then merge again.
+    const auto cut =
+        static_cast<std::ptrdiff_t>(rng.uniform_u64(draws.size() + 1));
+    ErrorPattern merged(
+        std::vector<ErrorBit>(draws.begin(), draws.begin() + cut));
+    ErrorPattern rest;
+    for (auto it = draws.begin() + cut; it != draws.end(); ++it) rest.add(*it);
+    merged.merge(rest);
+    expect_bits(merged, reference);
+    EXPECT_EQ(merged, added);
+    merged.merge(constructed);
+    EXPECT_EQ(merged, added);
+  }
+  EXPECT_TRUE(sizes_seen.contains(ErrorPattern::kInline));
+  EXPECT_TRUE(sizes_seen.contains(ErrorPattern::kInline + 1));
+}
+
+TEST(ErrorPattern, AddAtTheSpillBoundaryKeepsOrder) {
+  // The seventh distinct bit spills wherever it sorts: first, middle, last.
+  for (const ErrorBit extra :
+       {ErrorBit{0, 0}, ErrorBit{10, 0}, ErrorBit{99, 0}}) {
+    ErrorPattern p = distinct_bits(ErrorPattern::kInline, 5);
+    std::set<ErrorBit> reference(p.bits().begin(), p.bits().end());
+    p.add(extra);
+    reference.insert(extra);
+    expect_bits(p, reference);
+    p.add(extra);  // already present once spilled
+    expect_bits(p, reference);
+  }
+}
+
+TEST(ErrorPattern, CopyMoveAndAssignKeepInlineAndSpilledBits) {
+  const std::size_t sizes[] = {0, 3, ErrorPattern::kInline,
+                               ErrorPattern::kInline + 1, 12};
+  for (const std::size_t size : sizes) {
+    SCOPED_TRACE(size);
+    const ErrorPattern original = distinct_bits(size, 0);
+    const std::set<ErrorBit> reference(original.bits().begin(),
+                                       original.bits().end());
+
+    ErrorPattern copy(original);
+    expect_bits(copy, reference);
+    ErrorPattern moved(std::move(copy));
+    expect_bits(moved, reference);
+    // A moved-from pattern stays a valid pattern.
+    EXPECT_EQ(copy.bits().size(), copy.bit_count());
+    copy = original;
+    expect_bits(copy, reference);
+
+    // Assignment over an inline and over a spilled target, both ways.
+    for (const std::size_t target_size : sizes) {
+      ErrorPattern copied = distinct_bits(target_size, 100);
+      copied = original;
+      expect_bits(copied, reference);
+      EXPECT_EQ(copied, original);
+      ErrorPattern source = original;
+      ErrorPattern assigned = distinct_bits(target_size, 100);
+      assigned = std::move(source);
+      expect_bits(assigned, reference);
+      EXPECT_EQ(assigned, original);
+    }
+    if (size > 0) {
+      EXPECT_NE(original, distinct_bits(size, 1));
+      EXPECT_NE(original, distinct_bits(size - 1, 0));
+    }
+  }
+}
+
+TEST(ErrorPattern, CeEventStaysCompact) {
+  // Patterns are stored inline in every CE; this pins the per-CE footprint.
+  EXPECT_LE(sizeof(CeEvent), 72u);
 }
 
 TEST(ErrorPattern, StatsMatchSortedDistinctDefinition) {

@@ -4,6 +4,7 @@
 // truncated shards die with a clean MEMFP_CHECK diagnostic, never UB.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -124,7 +125,7 @@ void expect_traces_equal(const DimmTrace& a, const DimmTrace& b) {
     EXPECT_EQ(a.ces[i].coord.bank, b.ces[i].coord.bank);
     EXPECT_EQ(a.ces[i].coord.row, b.ces[i].coord.row);
     EXPECT_EQ(a.ces[i].coord.column, b.ces[i].coord.column);
-    EXPECT_EQ(a.ces[i].pattern.bits(), b.ces[i].pattern.bits());
+    EXPECT_EQ(a.ces[i].pattern, b.ces[i].pattern);
   }
   ASSERT_EQ(a.events.size(), b.events.size());
   for (std::size_t i = 0; i < a.events.size(); ++i) {
@@ -135,7 +136,7 @@ void expect_traces_equal(const DimmTrace& a, const DimmTrace& b) {
   ASSERT_EQ(a.ue.has_value(), b.ue.has_value());
   if (a.ue) {
     EXPECT_EQ(a.ue->time, b.ue->time);
-    EXPECT_EQ(a.ue->pattern.bits(), b.ue->pattern.bits());
+    EXPECT_EQ(a.ue->pattern, b.ue->pattern);
     EXPECT_EQ(a.ue->had_prior_ce, b.ue->had_prior_ce);
   }
 }
@@ -174,6 +175,75 @@ TEST(TraceStoreCodec, GoldenHashRoundTrip) {
     EXPECT_EQ(trace_content_hash(trace), trace_content_hash(decoded));
     EXPECT_EQ(trace_content_hash(trace),
               fnv1a_bytes(kFnvOffset, encoded.data(), encoded.size()));
+  }
+}
+
+/// Encodes a record holding one CE with `pattern`. The pattern's bytes are
+/// the record's last ones but three: no events, no suppressed CEs, no UE.
+std::vector<std::uint8_t> one_ce_record(const dram::ErrorPattern& pattern) {
+  DimmTrace trace = empty_trace();
+  dram::CeEvent ce;
+  ce.time = days(1);
+  ce.pattern = pattern;
+  trace.ces.push_back(ce);
+  std::vector<std::uint8_t> record;
+  encode_dimm_record(trace, record);
+  return record;
+}
+
+/// `one_ce_record` with its pattern field replaced by `pattern_bytes`, which
+/// need not be canonical. `encoded_bytes` is the size of the field replaced.
+std::vector<std::uint8_t> splice_pattern(
+    std::vector<std::uint8_t> record, std::size_t encoded_bytes,
+    const std::vector<std::uint8_t>& pattern_bytes) {
+  const auto tail = record.end() - 3;
+  record.erase(tail - static_cast<std::ptrdiff_t>(encoded_bytes), tail);
+  record.insert(record.end() - 3, pattern_bytes.begin(), pattern_bytes.end());
+  return record;
+}
+
+TEST(TraceStoreCodec, DecoderCanonicalisesHandBuiltPatterns) {
+  // The decoder adds bits in place; a non-canonical record must still decode
+  // to the pattern ErrorPattern(std::vector) makes of the same bits, and
+  // re-encode to that pattern's canonical bytes.
+  const std::vector<std::uint8_t> base = one_ce_record(
+      dram::ErrorPattern({{1, 0}}));  // pattern field: 01 01 01
+  struct Case {
+    const char* name;
+    std::vector<std::uint8_t> pattern_bytes;
+    std::vector<dram::ErrorBit> bits;
+  };
+  const std::vector<Case> cases = {
+      // Lane 3 twice (delta 0), the repeat carrying beat 0 again, then lane 5.
+      {"repeated lane group",
+       {0x03, 0x03, 0x05, 0x00, 0x03, 0x02, 0x80},
+       {{3, 0}, {3, 2}, {3, 0}, {3, 1}, {5, 7}}},
+      // Ten bits: past the inline capacity, so they spill to the heap.
+      {"ten bits",
+       {0x02, 0x00, 0xff, 0x09, 0x03},
+       {{0, 0}, {0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {0, 6}, {0, 7},
+        {9, 0}, {9, 1}}},
+      // A repeated lane group that crosses the inline/spill boundary with
+      // its bits out of order.
+      {"repeat across the spill boundary",
+       {0x03, 0x00, 0xf0, 0x00, 0x0f, 0x09, 0x03},
+       {{0, 4}, {0, 5}, {0, 6}, {0, 7}, {0, 0}, {0, 1}, {0, 2}, {0, 3},
+        {9, 0}, {9, 1}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::vector<std::uint8_t> record =
+        splice_pattern(base, 3, c.pattern_bytes);
+    const DimmTrace decoded = decode_dimm_record(
+        {record.data(), record.size()}, dram::Platform::kIntelPurley);
+    ASSERT_EQ(decoded.ces.size(), 1u);
+    const dram::ErrorPattern expected(c.bits);
+    EXPECT_EQ(decoded.ces[0].pattern, expected);
+    EXPECT_EQ(decoded.ces[0].pattern.bit_count(), expected.bit_count());
+
+    std::vector<std::uint8_t> re_encoded;
+    encode_dimm_record(decoded, re_encoded);
+    EXPECT_EQ(re_encoded, one_ce_record(expected));
   }
 }
 
@@ -346,6 +416,25 @@ TEST(TraceStoreDeathTest, GarbagePayloadRejected) {
       decode_dimm_record({garbage.data(), garbage.size()},
                          dram::Platform::kIntelPurley),
       "trace store");
+}
+
+TEST(TraceStoreDeathTest, DqDeltaOverflowRejected) {
+  // A lane delta of INT_MAX passes the int-range check of the varint but
+  // would overflow the running lane index: it must be rejected as a lane
+  // past 8 bits, not wrap negative and decode a corrupt pattern.
+  const std::vector<std::uint8_t> valid =
+      one_ce_record(dram::ErrorPattern({{1, 0}, {2, 0}}));
+  // Pattern field: 02 | 01 01 | 01 01 (groups | delta mask | delta mask).
+  const std::vector<std::uint8_t> hostile =
+      splice_pattern(valid, 5, {0x02, 0x01, 0x01, 0xff, 0xff, 0xff, 0xff,
+                                0x07, 0x01});
+  const DimmTrace decoded = decode_dimm_record(
+      {valid.data(), valid.size()}, dram::Platform::kIntelPurley);
+  ASSERT_EQ(decoded.ces.size(), 1u);
+  EXPECT_EQ(decoded.ces[0].pattern, dram::ErrorPattern({{1, 0}, {2, 0}}));
+  EXPECT_DEATH(decode_dimm_record({hostile.data(), hostile.size()},
+                                  dram::Platform::kIntelPurley),
+               "trace store: DQ lane exceeds 8 bits");
 }
 
 TEST(TraceStoreDeathTest, OversizeFrameLengthRejected) {

@@ -113,7 +113,7 @@ run_bench() {
   # breaks and runtime crashes without recording numbers (run_benches.sh
   # owns the recorded trajectory).
   "$dir/bench/bench_micro" \
-    --benchmark_filter='^BM_(Extract|FeaturesAt|StreamStorm|Gemm|GemmBt)$|^BM_(GbdtTrain|TreeTrain)/rows:2000|^BM_(ForestPredict|GbdtPredict)(Walker)?/rows:2000|^BM_ScoreDimms/threads:1$' \
+    --benchmark_filter='^BM_(Extract|FeaturesAt|StreamStorm|ShardDecode|Gemm|GemmBt)$|^BM_(GbdtTrain|TreeTrain)/rows:2000|^BM_(ForestPredict|GbdtPredict)(Walker)?/rows:2000|^BM_ScoreDimms/threads:1$' \
     --benchmark_min_time=0.01 > /dev/null
   # Fleet smoke: a few hundred DIMMs through simulate → spill → stream →
   # extract → score, so the sharded driver can't bit-rot between perf runs.

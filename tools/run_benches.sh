@@ -11,7 +11,11 @@
 #                       CE-storm DIMM through the serving fold) vs the
 #                       pre-split-ring window; medians of 5 repetitions
 #                       with their range — rerun after changes to
-#                       src/features/ or src/ml/tensor.cc.
+#                       src/features/ or src/ml/tensor.cc; and
+#                       BM_ShardDecode (one 4096-DIMM shard decoded on one
+#                       thread) vs the heap-allocated error patterns —
+#                       rerun after changes to src/sim/trace_store.* or
+#                       src/dram/error_pattern.*.
 #   BENCH_predict.json  BM_ForestPredict / BM_GbdtPredict row-count scaling
 #                       of the flat batched inference engine. The baseline
 #                       here is not frozen: the *Walker variants re-measure
@@ -147,7 +151,7 @@ fi
 if want extract; then
 RAW_EXTRACT="$BUILD/bench_extract_raw.json"
 "$BUILD/bench/bench_micro" \
-  --benchmark_filter='^BM_(Extract|FeaturesAt|StreamStorm|Gemm|GemmBt)$' \
+  --benchmark_filter='^BM_(Extract|FeaturesAt|StreamStorm|ShardDecode|Gemm|GemmBt)$' \
   --benchmark_repetitions=5 \
   --benchmark_out="$RAW_EXTRACT" --benchmark_out_format=json >&2
 
@@ -167,13 +171,18 @@ with open(raw_path) as f:
 # extractor per call); BM_Gemm / BM_GemmBt = dense 256x64 @ 64x64 products
 # before the unrolled kernels. At commit 5c7df8d, before the split window
 # rings: BM_StreamStorm = one CE-storm DIMM folded with ingest_ce_at and
-# scored every 6-hour tick (median of 5 repetitions, 4-CPU Xeon host).
+# scored every 6-hour tick (median of 5 repetitions, 4-CPU Xeon host). At
+# commit c60c82b, before inline error patterns: BM_ShardDecode = every
+# record of one 4096-DIMM Purley shard decoded and dropped on one thread
+# (same host; the median of six runs alternated with the change's, each the
+# median of 5 repetitions, 191-212 ms).
 BASELINE = {
     "BM_Extract": ("65df1cd", 800.0),
     "BM_FeaturesAt": ("65df1cd", 391.0),
     "BM_Gemm": ("65df1cd", 0.617),
     "BM_GemmBt": ("65df1cd", 0.437),
     "BM_StreamStorm": ("5c7df8d", 11.4),
+    "BM_ShardDecode": ("c60c82b", 200.0),
 }
 
 UNIT_TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
