@@ -23,7 +23,7 @@ std::uint64_t fold_sample_hash(std::uint64_t h,
                 static_cast<std::uint64_t>(
                     static_cast<std::int64_t>(sample.label)));
   for (const float value : sample.features) {
-    h = sim::fnv1a_u64(h, std::bit_cast<std::uint32_t>(value));
+    h = sim::fnv1a_u32_as_u64(h, std::bit_cast<std::uint32_t>(value));
   }
   return h;
 }
@@ -128,11 +128,11 @@ FleetDriverResult run_fleet_driver(const sim::ScenarioParams& params,
 
     // Drop the simulated residents: from here on the shard is read back
     // from its encoded form, exactly as a later training run would. Index 0
-    // (usually claimed by the calling thread) reads and verifies the shard
-    // while index 1 frees them, one CE-vector free per DIMM (patterns are
-    // stored inline). The frees stay on one thread, as frees spread across
-    // threads contend on the allocator's arena locks; swapping the two roles
-    // raised fleet-batch peak RSS by ~12% on 4 CPUs.
+    // (usually claimed by the calling thread) reads and verifies the shard,
+    // itself in parallel, while index 1 frees them, one CE-vector free per
+    // DIMM (patterns are stored inline). The frees stay on one thread, as
+    // frees spread across threads contend on the allocator's arena locks;
+    // swapping the two roles raised fleet-batch peak RSS by ~12% on 4 CPUs.
     std::optional<sim::TraceReader> reader;
     ThreadPool::global().parallel_for(
         2,

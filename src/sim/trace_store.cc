@@ -1,13 +1,17 @@
 #include "sim/trace_store.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <limits>
-#include <system_error>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -17,9 +21,16 @@ namespace {
 
 constexpr char kHeaderMagic[8] = {'M', 'F', 'T', 'S', 'H', 'R', 'D', '1'};
 constexpr char kFooterMagic[8] = {'M', 'F', 'T', 'S', 'E', 'N', 'D', '1'};
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
 constexpr std::size_t kHeaderBytes = 24;  // magic + version + platform + horizon
-constexpr std::size_t kFooterBytes = 24;  // index offset + region hash + magic
+constexpr std::size_t kFooterBytes = 24;  // index offset + checksum + magic
+
+/// One record's step of the footer checksum: its payload length, then its
+/// payload's FNV-1a content hash.
+std::uint64_t fold_record(std::uint64_t h, std::uint64_t len,
+                          std::uint64_t payload_hash) {
+  return fnv1a_u64(fnv1a_u64(h, len), payload_hash);
+}
 
 // ---------------------------------------------------------------------------
 // Little-endian primitives (explicit, so shards are portable across hosts)
@@ -68,19 +79,24 @@ class Cursor {
   bool exhausted() const { return pos_ == data_.size(); }
   std::string_view context() const { return context_; }
 
+  std::size_t remaining() const { return data_.size() - pos_; }
+
   std::uint64_t varint() {
-    std::uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-      MEMFP_CHECK_LT(pos_, data_.size())
-          << "trace store: truncated varint" << context_;
-      MEMFP_CHECK_LT(shift, 64)
-          << "trace store: varint overflows 64 bits" << context_;
-      const std::uint8_t byte = data_[pos_++];
-      v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) return v;
-      shift += 7;
+    if (pos_ < data_.size() && data_[pos_] < 0x80) return data_[pos_++];
+    if (remaining() >= kMaxVarintBytes) {
+      // Every byte a varint may take is in bounds: decode without checks.
+      const std::uint8_t* p = data_.data() + pos_;
+      std::uint64_t v = 0;
+      for (std::size_t i = 0; i < kMaxVarintBytes; ++i) {
+        v |= static_cast<std::uint64_t>(p[i] & 0x7f) << (7 * i);
+        if (p[i] < 0x80) {
+          pos_ += i + 1;
+          return v;
+        }
+      }
+      // Ten continuation bytes: the checked loop names the failure.
     }
+    return checked_varint();
   }
 
   /// Varint narrowed to a non-negative int (coordinates, config fields).
@@ -114,6 +130,24 @@ class Cursor {
   }
 
  private:
+  // The bytes of the longest varint: 9 x 7 bits + 1.
+  static constexpr std::size_t kMaxVarintBytes = 10;
+
+  std::uint64_t checked_varint() {
+    std::uint64_t v = 0;
+    int shift = 0;
+    while (true) {
+      MEMFP_CHECK_LT(pos_, data_.size())
+          << "trace store: truncated varint" << context_;
+      MEMFP_CHECK_LT(shift, 64)
+          << "trace store: varint overflows 64 bits" << context_;
+      const std::uint8_t byte = data_[pos_++];
+      v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) return v;
+      shift += 7;
+    }
+  }
+
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
   std::string_view context_;
@@ -201,6 +235,27 @@ void encode_f32(float value, std::vector<std::uint8_t>& out) {
 }
 
 float decode_f32(Cursor& in) { return std::bit_cast<float>(in.fixed_u32()); }
+
+/// An upper bound on the size of encode_dimm_record(trace), so that the
+/// batch append sizes each payload buffer once instead of growing it by
+/// doubling. Fields take at most 10 bytes (a u64 varint), 5 (an int
+/// varint) or their fixed size; a pattern at most its group count and, per
+/// bit, one lane delta below 256 and one mask.
+std::size_t encoded_size_bound(const DimmTrace& trace) {
+  constexpr std::size_t kU64 = 10;
+  constexpr std::size_t kCoord = 5 * 5;
+  const auto pattern = [](const dram::ErrorPattern& p) {
+    return kU64 + 3 * p.bit_count();
+  };
+  std::size_t bytes = 2 * kU64 + 3 + 2 * 5 + kU64 +
+                      trace.config.part_number.size() + 3 * 4;
+  bytes += kU64 + trace.ces.size() * (kU64 + kCoord);
+  for (const dram::CeEvent& ce : trace.ces) bytes += pattern(ce.pattern);
+  bytes += kU64 + trace.events.size() * (kU64 + 1);
+  bytes += kU64 + 1;
+  if (trace.ue) bytes += kU64 + kCoord + pattern(trace.ue->pattern) + 1;
+  return bytes;
+}
 
 }  // namespace
 
@@ -290,7 +345,12 @@ DimmTrace decode_dimm_record(std::span<const std::uint8_t> payload,
   trace.workload.memory_utilization = decode_f32(in);
   trace.workload.read_write_ratio = decode_f32(in);
 
+  // Each count is bounded by the bytes left before it sizes a vector: a CE
+  // takes at least 7 bytes (time delta, five coordinates, group count), an
+  // event at least 2 (time delta, type).
   const std::uint64_t ces = in.varint();
+  MEMFP_CHECK_LE(ces, in.remaining() / 7)
+      << "trace store: CE count exceeds the record" << context;
   trace.ces.reserve(ces);
   SimTime prev = 0;
   for (std::uint64_t i = 0; i < ces; ++i) {
@@ -306,6 +366,8 @@ DimmTrace decode_dimm_record(std::span<const std::uint8_t> payload,
   }
 
   const std::uint64_t events = in.varint();
+  MEMFP_CHECK_LE(events, in.remaining() / 2)
+      << "trace store: event count exceeds the record" << context;
   trace.events.reserve(events);
   prev = 0;
   for (std::uint64_t i = 0; i < events; ++i) {
@@ -395,15 +457,16 @@ std::vector<std::uint64_t> ShardWriter::append(
   ThreadPool::global().parallel_for_ordered(
       traces.size(),
       [&](std::size_t i) {
+        payloads[i].reserve(encoded_size_bound(traces[i]));
         encode_dimm_record(traces[i], payloads[i]);
         hashes[i] = fnv1a_bytes(kFnvOffset, payloads[i].data(),
                                 payloads[i].size());
       },
       // Frames go out in record order on the calling thread: the offsets,
-      // the region checksum and the file bytes are the serial writer's,
+      // the record checksum and the file bytes are the serial writer's,
       // whatever the thread count. Each payload is freed once written.
       [&](std::size_t i) {
-        write_frame(traces[i], payloads[i]);
+        write_frame(traces[i], payloads[i], hashes[i]);
         std::vector<std::uint8_t>().swap(payloads[i]);
       });
   return hashes;
@@ -413,17 +476,19 @@ std::uint64_t ShardWriter::append(const DimmTrace& trace) {
   MEMFP_CHECK(!finished_) << "trace store: append after finish on " << path_;
   payload_.clear();
   encode_dimm_record(trace, payload_);
-  write_frame(trace, payload_);
-  return fnv1a_bytes(kFnvOffset, payload_.data(), payload_.size());
+  const std::uint64_t hash =
+      fnv1a_bytes(kFnvOffset, payload_.data(), payload_.size());
+  write_frame(trace, payload_, hash);
+  return hash;
 }
 
 void ShardWriter::write_frame(const DimmTrace& trace,
-                              const std::vector<std::uint8_t>& payload) {
+                              const std::vector<std::uint8_t>& payload,
+                              std::uint64_t payload_hash) {
   prefix_.clear();
   put_varint(prefix_, payload.size());
   offsets_.push_back(region_bytes_);
-  region_hash_ = fnv1a_bytes(region_hash_, prefix_.data(), prefix_.size());
-  region_hash_ = fnv1a_bytes(region_hash_, payload.data(), payload.size());
+  checksum_ = fold_record(checksum_, payload.size(), payload_hash);
   region_bytes_ += prefix_.size() + payload.size();
   out_.write(reinterpret_cast<const char*>(prefix_.data()),
              static_cast<std::streamsize>(prefix_.size()));
@@ -452,7 +517,7 @@ ShardStats ShardWriter::finish() {
   }
   const std::uint64_t index_offset = kHeaderBytes + region_bytes_;
   put_u64(tail, index_offset);
-  put_u64(tail, region_hash_);
+  put_u64(tail, checksum_);
   tail.insert(tail.end(), kFooterMagic, kFooterMagic + 8);
   out_.write(reinterpret_cast<const char*>(tail.data()),
              static_cast<std::streamsize>(tail.size()));
@@ -473,29 +538,60 @@ ShardStats ShardWriter::finish() {
 // TraceReader
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// A shard file open for positioned reads: any number of threads may read
+/// disjoint ranges of it at once. Every failure dies naming the path.
+class ShardFile {
+ public:
+  explicit ShardFile(const std::string& path)
+      : path_(path), fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+    MEMFP_CHECK_GE(fd_, 0) << "trace store: cannot open " << path;
+    struct stat st {};
+    MEMFP_CHECK_EQ(::fstat(fd_, &st), 0)
+        << "trace store: read failed on " << path << " ("
+        << std::strerror(errno) << ")";
+    MEMFP_CHECK(S_ISREG(st.st_mode))
+        << "trace store: read failed on " << path << " (not a regular file)";
+    size_ = static_cast<std::uint64_t>(st.st_size);
+  }
+  ~ShardFile() { ::close(fd_); }
+  ShardFile(const ShardFile&) = delete;
+  ShardFile& operator=(const ShardFile&) = delete;
+
+  std::uint64_t size() const { return size_; }
+
+  /// Reads exactly `n` bytes at `offset` into `out`.
+  void read(std::uint64_t offset, std::uint8_t* out, std::size_t n) const {
+    while (n > 0) {
+      const ssize_t got = ::pread(fd_, out, n, static_cast<off_t>(offset));
+      if (got < 0 && errno == EINTR) continue;
+      MEMFP_CHECK_GT(got, 0)
+          << "trace store: read failed on " << path_ << " ("
+          << (got == 0 ? "file shrank while read" : std::strerror(errno))
+          << ")";
+      out += got;
+      offset += static_cast<std::uint64_t>(got);
+      n -= static_cast<std::size_t>(got);
+    }
+  }
+
+ private:
+  const std::string& path_;
+  int fd_;
+  std::uint64_t size_ = 0;
+};
+
+}  // namespace
+
 TraceReader::TraceReader(const std::string& path) : path_(path) {
-  std::ifstream in(path, std::ios::binary);
-  MEMFP_CHECK(in.good()) << "trace store: cannot open " << path;
-  // One sized read: the header into a fixed buffer and the rest of the file
-  // straight into region_, which is trimmed to the record region in place
-  // once the index is parsed. No byte of the shard is copied twice.
-  std::error_code error;
-  const std::uintmax_t size = std::filesystem::file_size(path, error);
-  MEMFP_CHECK(!error) << "trace store: read failed on " << path << " ("
-                      << error.message() << ")";
-  const auto file_size = static_cast<std::size_t>(size);
-  std::array<std::uint8_t, kHeaderBytes> header{};
-  const std::size_t header_read = std::min(file_size, kHeaderBytes);
-  region_.resize(file_size - header_read);
-  in.read(reinterpret_cast<char*>(header.data()),
-          static_cast<std::streamsize>(header_read));
-  in.read(reinterpret_cast<char*>(region_.data()),
-          static_cast<std::streamsize>(region_.size()));
-  MEMFP_CHECK(in.good()) << "trace store: read failed on " << path;
-  file_bytes_ = file_size;
-  MEMFP_CHECK_GE(file_size, kHeaderBytes + kFooterBytes)
+  const ShardFile file(path);
+  file_bytes_ = file.size();
+  MEMFP_CHECK_GE(file_bytes_, kHeaderBytes + kFooterBytes)
       << "trace store: " << path << " is truncated";
 
+  std::array<std::uint8_t, kHeaderBytes> header{};
+  file.read(0, header.data(), header.size());
   MEMFP_CHECK(std::memcmp(header.data(), kHeaderMagic, 8) == 0)
       << "trace store: " << path << " is not a shard file";
   const std::uint32_t version = get_u32(header.data() + 8);
@@ -508,49 +604,80 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
   horizon_ = static_cast<SimTime>(get_u64(header.data() + 16));
   MEMFP_CHECK_GE(horizon_, 0) << "trace store: negative horizon in " << path;
 
-  // region_ holds everything after the header: records, index, footer.
-  const std::uint8_t* footer = region_.data() + region_.size() - kFooterBytes;
-  MEMFP_CHECK(std::memcmp(footer + 16, kFooterMagic, 8) == 0)
+  std::array<std::uint8_t, kFooterBytes> footer{};
+  const std::uint64_t footer_offset = file_bytes_ - kFooterBytes;
+  file.read(footer_offset, footer.data(), footer.size());
+  MEMFP_CHECK(std::memcmp(footer.data() + 16, kFooterMagic, 8) == 0)
       << "trace store: " << path << " has no footer (unfinished writer?)";
-  const std::uint64_t index_offset = get_u64(footer);
-  const std::uint64_t stored_hash = get_u64(footer + 8);
-  MEMFP_CHECK(index_offset >= kHeaderBytes &&
-              index_offset <= file_size - kFooterBytes)
+  const std::uint64_t index_offset = get_u64(footer.data());
+  const std::uint64_t stored_checksum = get_u64(footer.data() + 8);
+  MEMFP_CHECK(index_offset >= kHeaderBytes && index_offset <= footer_offset)
       << "trace store: index offset out of bounds in " << path;
 
-  const auto region_size = static_cast<std::size_t>(index_offset - kHeaderBytes);
-  const std::span<const std::uint8_t> region(region_.data(), region_size);
-  const std::uint64_t actual_hash =
-      fnv1a_bytes(kFnvOffset, region.data(), region.size());
-  MEMFP_CHECK_EQ(actual_hash, stored_hash)
-      << "trace store: record region checksum mismatch in " << path;
-
-  Cursor index(std::span<const std::uint8_t>(region_).subspan(
-      region_size, region_.size() - kFooterBytes - region_size));
+  // The index, serially: frame starts, strictly increasing from 0, each
+  // inside the region. An entry takes at least one byte, which bounds the
+  // count before it sizes anything.
+  std::vector<std::uint8_t> index_bytes(
+      static_cast<std::size_t>(footer_offset - index_offset));
+  file.read(index_offset, index_bytes.data(), index_bytes.size());
+  const std::string context = " in " + path;
+  Cursor index(index_bytes, context);
   const std::uint64_t count = index.varint();
-  records_.reserve(count);
+  MEMFP_CHECK_LE(count, index.remaining())
+      << "trace store: index count exceeds the index" << context;
+  const std::uint64_t region_size = index_offset - kHeaderBytes;
+  std::vector<std::uint64_t> frames(static_cast<std::size_t>(count) + 1);
   std::uint64_t offset = 0;
-  std::uint64_t expected_next = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    offset += index.varint();
-    MEMFP_CHECK_EQ(offset, expected_next)
-        << "trace store: non-contiguous record frames in " << path;
-    Cursor frame(region.subspan(static_cast<std::size_t>(offset)));
-    const std::uint64_t len = frame.varint();
-    const std::uint64_t payload_start = offset + frame.position();
-    // Subtraction form: a hostile length near 2^64 would wrap the additive
-    // `payload_start + len` bound. payload_start <= region size holds by the
-    // frame cursor's own bounds (it reads within region[offset:]).
-    MEMFP_CHECK_LE(len, region.size() - payload_start)
-        << "trace store: record overruns the region in " << path;
-    records_.emplace_back(payload_start, len);
-    expected_next = payload_start + len;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t delta = index.varint();
+    MEMFP_CHECK(i == 0 ? delta == 0 : delta > 0)
+        << "trace store: non-contiguous record frames" << context;
+    MEMFP_CHECK_LT(delta, region_size - offset)
+        << "trace store: record offset overruns the region" << context;
+    offset += delta;
+    frames[i] = offset;
   }
+  frames[count] = region_size;
   MEMFP_CHECK(index.exhausted())
-      << "trace store: trailing bytes after the shard index in " << path;
-  MEMFP_CHECK_EQ(expected_next, region.size())
-      << "trace store: record region has unindexed bytes in " << path;
-  region_.resize(region_size);
+      << "trace store: trailing bytes after the shard index" << context;
+  MEMFP_CHECK(count > 0 || region_size == 0)
+      << "trace store: record region has unindexed bytes" << context;
+
+  // The region, in parallel: each chunk of frames reads its bytes, checks
+  // each length prefix against the frame the index gives, and hashes the
+  // payload while it is in cache.
+  region_ = std::make_unique_for_overwrite<std::uint8_t[]>(
+      static_cast<std::size_t>(region_size));
+  records_.resize(static_cast<std::size_t>(count));
+  std::vector<std::uint64_t> hashes(static_cast<std::size_t>(count));
+  ThreadPool::global().parallel_for_chunks(
+      static_cast<std::size_t>(count),
+      [&](std::size_t begin, std::size_t end) {
+        file.read(kHeaderBytes + frames[begin], region_.get() + frames[begin],
+                  static_cast<std::size_t>(frames[end] - frames[begin]));
+        for (std::size_t i = begin; i < end; ++i) {
+          Cursor frame({region_.get() + frames[i],
+                        static_cast<std::size_t>(frames[i + 1] - frames[i])},
+                       context);
+          const std::uint64_t len = frame.varint();
+          const std::uint64_t payload_start = frames[i] + frame.position();
+          // Subtraction form: a hostile length near 2^64 would wrap an
+          // additive `payload_start + len` bound.
+          MEMFP_CHECK_LE(len, region_size - payload_start)
+              << "trace store: record overruns the region" << context;
+          MEMFP_CHECK_EQ(len, frames[i + 1] - payload_start)
+              << "trace store: non-contiguous record frames" << context;
+          records_[i] = {payload_start, len};
+          hashes[i] = fnv1a_bytes(kFnvOffset, region_.get() + payload_start,
+                                  static_cast<std::size_t>(len));
+        }
+      });
+  std::uint64_t checksum = kFnvOffset;
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    checksum = fold_record(checksum, records_[i].second, hashes[i]);
+  }
+  MEMFP_CHECK_EQ(checksum, stored_checksum)
+      << "trace store: record checksum mismatch" << context;
 }
 
 DimmTrace TraceReader::read_dimm(std::size_t index) const {
@@ -561,9 +688,8 @@ DimmTrace TraceReader::read_dimm(std::size_t index) const {
   std::snprintf(context, sizeof(context), " in %s (record %zu)", path_.c_str(),
                 index);
   return decode_dimm_record(
-      std::span<const std::uint8_t>(region_).subspan(
-          static_cast<std::size_t>(offset), static_cast<std::size_t>(length)),
-      platform_, context);
+      {region_.get() + offset, static_cast<std::size_t>(length)}, platform_,
+      context);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,10 +8,18 @@
 // offsets) and a checksummed footer, so a writer only ever appends and a
 // reader can either stream records in order or jump straight to one DIMM.
 //
-//   header   magic "MFTSHRD1", version, platform, horizon
+//   header   magic "MFTSHRD1", version 2, platform, horizon
 //   records  [varint len | payload] per observed DIMM, ascending DimmId
 //   index    varint count, varint offset deltas (into the record region)
-//   footer   index offset, FNV-1a of the record region, magic "MFTSEND1"
+//   footer   index offset, record checksum, magic "MFTSEND1"
+//
+// The record checksum (format version 2) is the in-order fold, from
+// kFnvOffset, of fnv1a_u64(len) then fnv1a_u64(payload hash) per record,
+// where the payload hash is the record's FNV-1a content hash
+// (trace_content_hash), so the writer and the reader hash payloads in
+// parallel and fold only 16 bytes per record in order. A file of another
+// version (version 1 hashed the region byte by byte) dies at the version
+// check.
 //
 // The payload round-trips DimmTrace byte-exactly: decode(encode(t)) compares
 // equal field-for-field, and re-encoding reproduces the identical bytes (the
@@ -24,6 +32,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -59,6 +68,18 @@ inline std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t value) {
     h *= kFnvPrime;
   }
   return h;
+}
+
+/// fnv1a_u64(h, value), bit for bit, for a 32-bit value: the four zero high
+/// bytes only multiply by the prime, so they fold into one multiply by P^4.
+inline std::uint64_t fnv1a_u32_as_u64(std::uint64_t h, std::uint32_t value) {
+  constexpr std::uint64_t kPrime4 =
+      kFnvPrime * kFnvPrime * kFnvPrime * kFnvPrime;
+  for (int i = 0; i < 4; ++i) {
+    h ^= (value >> (8 * i)) & 0xffU;
+    h *= kFnvPrime;
+  }
+  return h * kPrime4;
 }
 
 // ---------------------------------------------------------------------------
@@ -109,10 +130,12 @@ struct ShardStats {
 /// reject it via the missing footer magic.
 ///
 /// A batch append encodes and content-hashes its records in parallel on the
-/// global ThreadPool, one slot per record, while the calling thread writes
-/// the frames and folds the region checksum in record order as each record
-/// becomes ready (ThreadPool::parallel_for_ordered), freeing each payload
-/// once written; the file bytes do not depend on the thread count.
+/// global ThreadPool, one slot per record, each payload buffer sized once
+/// from the record's CE, event and error-bit counts. The calling thread
+/// writes the frames and folds each record's length and content hash into
+/// the record checksum in record order as each record becomes ready
+/// (ThreadPool::parallel_for_ordered), freeing each payload once written;
+/// the file bytes do not depend on the thread count.
 class ShardWriter {
  public:
   ShardWriter(const std::string& path, dram::Platform platform,
@@ -133,9 +156,11 @@ class ShardWriter {
 
  private:
   // Writes one encoded record's frame (length varint + payload) in record
-  // order and folds it into the region checksum and the stats.
+  // order and folds its length and content hash into the record checksum
+  // and the stats.
   void write_frame(const DimmTrace& trace,
-                   const std::vector<std::uint8_t>& payload);
+                   const std::vector<std::uint8_t>& payload,
+                   std::uint64_t payload_hash);
 
   std::ofstream out_;
   std::string path_;
@@ -146,15 +171,19 @@ class ShardWriter {
   std::vector<std::uint8_t> payload_;
   std::vector<std::uint8_t> prefix_;
   std::uint64_t region_bytes_ = 0;
-  std::uint64_t region_hash_ = kFnvOffset;
+  std::uint64_t checksum_ = kFnvOffset;
   bool finished_ = false;
 };
 
-/// Streaming shard reader: loads the (compact) encoded shard into memory in
-/// one sized read, verifies magic/version/checksum/index bounds, then decodes
-/// one DIMM at a time into the existing DimmTrace type. read_dimm is const and touches only
-/// immutable state, so concurrent decodes from one reader are safe — the
-/// driver fans extraction out across a shard's DIMMs this way.
+/// Shard reader. The constructor reads the header, footer and index, then
+/// fills the record region with positioned reads of frame-aligned chunks on
+/// the global ThreadPool; each chunk checks its frames' length prefixes
+/// against the index and content-hashes their payloads while the bytes are
+/// in cache. The calling thread folds the hashes in record order and checks
+/// the footer's record checksum before the constructor returns, so a
+/// constructed reader holds a verified shard. read_dimm is const and
+/// touches only immutable state, so concurrent decodes from one reader are
+/// safe — the driver fans extraction out across a shard's DIMMs this way.
 class TraceReader {
  public:
   explicit TraceReader(const std::string& path);
@@ -174,7 +203,8 @@ class TraceReader {
   dram::Platform platform_ = dram::Platform::kIntelPurley;
   SimTime horizon_ = 0;
   std::uint64_t file_bytes_ = 0;
-  std::vector<std::uint8_t> region_;  // record region only
+  // The record region only, filled without zeroing first.
+  std::unique_ptr<std::uint8_t[]> region_;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> records_;  // off, len
 };
 

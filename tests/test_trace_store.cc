@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "sim/fleet.h"
 #include "sim/trace_store.h"
@@ -157,6 +158,125 @@ std::vector<DimmTrace> repeated(const std::vector<DimmTrace>& traces,
     }
   }
   return out;
+}
+
+void push_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<std::uint8_t>(v | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<std::uint8_t>(v));
+}
+
+void push_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out.push_back((v >> (8 * i)) & 0xff);
+}
+
+/// The parts of a shard file, laid out by hand from the format definition
+/// in trace_store.h rather than by ShardWriter.
+struct HandBuiltShard {
+  std::uint32_t version = 2;
+  std::vector<std::uint8_t> region;    // the frames
+  std::vector<std::uint64_t> frames;   // frame starts in the region
+  std::vector<std::uint64_t> payload;  // payload starts in the region
+  std::uint64_t checksum = kFnvOffset;
+
+  /// Appends one frame and folds it into the version 2 record checksum.
+  void add(const std::vector<std::uint8_t>& bytes) {
+    frames.push_back(region.size());
+    push_varint(region, bytes.size());
+    payload.push_back(region.size());
+    region.insert(region.end(), bytes.begin(), bytes.end());
+    checksum = fnv1a_u64(fnv1a_u64(checksum, bytes.size()),
+                         fnv1a_bytes(kFnvOffset, bytes.data(), bytes.size()));
+  }
+
+  /// The index for `frames`: count, then offset deltas.
+  std::vector<std::uint8_t> index() const {
+    std::vector<std::uint8_t> out;
+    push_varint(out, frames.size());
+    std::uint64_t prev = 0;
+    for (const std::uint64_t frame : frames) {
+      push_varint(out, frame - prev);
+      prev = frame;
+    }
+    return out;
+  }
+
+  /// Header (Purley, horizon `horizon`), region, `index_bytes` and footer.
+  std::vector<std::uint8_t> file(const std::vector<std::uint8_t>& index_bytes,
+                                 SimTime horizon = 0) const {
+    std::vector<std::uint8_t> out = {'M', 'F', 'T', 'S', 'H', 'R', 'D', '1'};
+    for (int i = 0; i < 4; ++i) out.push_back((version >> (8 * i)) & 0xff);
+    out.insert(out.end(), 4, 0);  // platform (Purley) + padding
+    push_u64(out, static_cast<std::uint64_t>(horizon));
+    out.insert(out.end(), region.begin(), region.end());
+    out.insert(out.end(), index_bytes.begin(), index_bytes.end());
+    push_u64(out, 24 + region.size());
+    push_u64(out, checksum);
+    const char magic[8] = {'M', 'F', 'T', 'S', 'E', 'N', 'D', '1'};
+    out.insert(out.end(), magic, magic + 8);
+    return out;
+  }
+  std::vector<std::uint8_t> file() const { return file(index()); }
+};
+
+/// The hand-built shard of `traces`, one frame per encoded record.
+HandBuiltShard hand_built(const std::vector<DimmTrace>& traces) {
+  HandBuiltShard shard;
+  for (const DimmTrace& trace : traces) {
+    std::vector<std::uint8_t> bytes;
+    encode_dimm_record(trace, bytes);
+    shard.add(bytes);
+  }
+  return shard;
+}
+
+void write_file(const std::string& path,
+                const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Writes `traces` one record at a time. The one-record append starts no
+/// pool worker: a death test forked from a process whose workers sleep on
+/// the pool's condition variable can hang in the child's first notify, so
+/// no death test may start the pool outside its death statement.
+void write_shard(const std::string& path, const std::vector<DimmTrace>& traces,
+                 SimTime horizon = days(10)) {
+  ShardWriter writer(path, dram::Platform::kIntelPurley, horizon);
+  for (const DimmTrace& trace : traces) writer.append(trace);
+  writer.finish();
+}
+
+/// XORs the byte at `offset` of the file at `path` with `mask`.
+void flip_byte(const std::string& path, std::uint64_t offset,
+               std::uint8_t mask) {
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  char byte = 0;
+  file.seekg(static_cast<std::streamoff>(offset));
+  file.read(&byte, 1);
+  byte = static_cast<char>(byte ^ mask);
+  file.seekp(static_cast<std::streamoff>(offset));
+  file.write(&byte, 1);
+}
+
+TEST(TraceStoreHash, Fnv1aU32AsU64MatchesFnv1aU64) {
+  // The feature-hash fold's 32-bit step: four byte steps and one multiply
+  // by P^4 must equal fnv1a_u64's eight byte steps over the zero-extended
+  // value, for any running hash.
+  Rng rng(2024);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t h = rng.next();
+    const auto value = static_cast<std::uint32_t>(rng.next());
+    ASSERT_EQ(fnv1a_u32_as_u64(h, value), fnv1a_u64(h, value))
+        << "h " << h << ", value " << value;
+  }
+  for (const std::uint32_t value : {0u, 1u, 0x80u, 0xffffffffu}) {
+    EXPECT_EQ(fnv1a_u32_as_u64(kFnvOffset, value),
+              fnv1a_u64(kFnvOffset, value));
+  }
 }
 
 TEST(TraceStoreCodec, GoldenHashRoundTrip) {
@@ -393,16 +513,7 @@ TEST(TraceStoreDeathTest, CorruptRecordRejected) {
     writer.finish();
   }
   // Flip a byte in the record region: the footer checksum must catch it.
-  {
-    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
-    file.seekp(64);
-    char byte = 0;
-    file.seekg(64);
-    file.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x5a);
-    file.seekp(64);
-    file.write(&byte, 1);
-  }
+  flip_byte(path, 64, 0x5a);
   EXPECT_DEATH({ TraceReader reader(path); }, "trace store");
   std::remove(path.c_str());
 }
@@ -416,6 +527,31 @@ TEST(TraceStoreDeathTest, GarbagePayloadRejected) {
       decode_dimm_record({garbage.data(), garbage.size()},
                          dram::Platform::kIntelPurley),
       "trace store");
+}
+
+TEST(TraceStoreDeathTest, VarintFastPathKeepsDiagnostics) {
+  // With ten or more bytes left the cursor decodes a varint without
+  // per-byte checks; it must accept and reject what the checked loop does.
+  // Ten continuation bytes are truncated with nothing after them and
+  // overflow with a byte more; three are truncated on the checked path.
+  const auto decode = [](const std::vector<std::uint8_t>& bytes) {
+    return decode_dimm_record({bytes.data(), bytes.size()},
+                              dram::Platform::kIntelPurley);
+  };
+  std::vector<std::uint8_t> overflow(10, 0x80);
+  overflow.push_back(0x00);
+  EXPECT_DEATH(decode(std::vector<std::uint8_t>(10, 0x80)),
+               "trace store: truncated varint");
+  EXPECT_DEATH(decode(overflow), "trace store: varint overflows 64 bits");
+  EXPECT_DEATH(decode(std::vector<std::uint8_t>(3, 0x80)),
+               "trace store: truncated varint");
+
+  // A 10-byte varint decodes to the same value on the unchecked path.
+  DimmTrace trace = sparse_trace();
+  trace.suppressed_ce_count = ~0ULL;
+  std::vector<std::uint8_t> encoded;
+  encode_dimm_record(trace, encoded);
+  EXPECT_EQ(decode(encoded).suppressed_ce_count, ~0ULL);
 }
 
 TEST(TraceStoreDeathTest, DqDeltaOverflowRejected) {
@@ -440,42 +576,157 @@ TEST(TraceStoreDeathTest, DqDeltaOverflowRejected) {
 TEST(TraceStoreDeathTest, OversizeFrameLengthRejected) {
   // A frame whose varint length is 2^64-1 makes `payload_start + len` wrap
   // around uint64, sailing under an additive bounds check. FNV-1a is not
-  // cryptographic, so a hostile file can carry a consistent region checksum
+  // cryptographic, so a hostile file can carry a consistent record checksum
   // — the reader must reject the length itself, not rely on the checksum.
   const std::string path = shard_path(temp_dir(), 4);
-  const auto push_u32 = [](std::vector<std::uint8_t>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out.push_back((v >> (8 * i)) & 0xff);
-  };
-  const auto push_u64 = [](std::vector<std::uint8_t>& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out.push_back((v >> (8 * i)) & 0xff);
-  };
-
-  std::vector<std::uint8_t> file = {'M', 'F', 'T', 'S',
-                                    'H', 'R', 'D', '1'};  // header magic
-  push_u32(file, 1);                        // format version
-  file.insert(file.end(), 4, 0);            // platform + padding
-  push_u64(file, 0);                        // horizon
-
-  // Record region: a single frame prefix, varint(2^64 - 1) = ff*9 01.
-  std::vector<std::uint8_t> region(9, 0xff);
-  region.push_back(0x01);
-  file.insert(file.end(), region.begin(), region.end());
-
-  std::vector<std::uint8_t> tail;
-  tail.push_back(0x01);                     // index: one record...
-  tail.push_back(0x00);                     // ...at offset 0
-  push_u64(tail, 24 + region.size());       // index offset
-  push_u64(tail, fnv1a_bytes(kFnvOffset, region.data(), region.size()));
-  const char footer_magic[8] = {'M', 'F', 'T', 'S', 'E', 'N', 'D', '1'};
-  tail.insert(tail.end(), footer_magic, footer_magic + 8);
-  file.insert(file.end(), tail.begin(), tail.end());
-
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(file.data()),
-              static_cast<std::streamsize>(file.size()));
-  }
+  HandBuiltShard shard;
+  // Record region: a single frame prefix, varint(2^64 - 1) = ff*9 01, and
+  // the version 2 checksum of that length with an empty payload's hash.
+  shard.region.assign(9, 0xff);
+  shard.region.push_back(0x01);
+  shard.frames = {0};
+  shard.checksum = fnv1a_u64(fnv1a_u64(kFnvOffset, ~0ULL), kFnvOffset);
+  write_file(path, shard.file());
   EXPECT_DEATH({ TraceReader reader(path); }, "overruns the region");
+  std::remove(path.c_str());
+}
+
+TEST(TraceStoreShard, WriterMatchesFormatDefinition) {
+  // The writer's bytes are the hand-built layout of the format comment:
+  // frames, offset-delta index and the version 2 record checksum.
+  const std::string path = shard_path(temp_dir(), 15);
+  const std::vector<DimmTrace> traces = repeated(corpus(), 3);
+  write_shard(path, traces, 0);
+  EXPECT_EQ(file_bytes(path), hand_built(traces).file());
+  std::remove(path.c_str());
+}
+
+TEST(TraceStoreDeathTest, VersionOneShardRejected) {
+  // A version 1 shard (the byte-serial FNV-1a of the record region in its
+  // footer) has no reader: it dies at the version check.
+  const std::string path = shard_path(temp_dir(), 16);
+  HandBuiltShard shard = hand_built(corpus());
+  shard.version = 1;
+  shard.checksum =
+      fnv1a_bytes(kFnvOffset, shard.region.data(), shard.region.size());
+  write_file(path, shard.file());
+  EXPECT_DEATH({ TraceReader reader(path); },
+               "trace store: unsupported shard version in "
+               ".*shard-00016\\.mft");
+  std::remove(path.c_str());
+}
+
+TEST(TraceStoreDeathTest, FlippedPayloadByteRejected) {
+  // One payload byte of a middle record of a multi-record shard: the
+  // record checksum catches it whether the reader's chunks run on one
+  // thread or four. The death-test child re-runs the test, so its pool
+  // starts with its threads.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::string path = shard_path(temp_dir(), 17);
+  const std::vector<DimmTrace> traces = repeated(corpus(), 50);
+  write_shard(path, traces);
+  const HandBuiltShard layout = hand_built(traces);
+  const std::size_t middle = traces.size() / 2;
+  const std::uint64_t payload_bytes =
+      layout.frames[middle + 1] - layout.payload[middle];
+  flip_byte(path, 24 + layout.payload[middle] + payload_bytes / 2, 0x5a);
+  for (const int threads : {1, 4}) {
+    const ThreadPool::ScopedLimit limit(threads);
+    EXPECT_DEATH({ TraceReader reader(path); }, "trace store")
+        << threads << " threads";
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceStoreDeathTest, FlippedLengthPrefixRejected) {
+  // The same middle record's length prefix: the frame no longer ends where
+  // the index puts the next one.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::string path = shard_path(temp_dir(), 18);
+  const std::vector<DimmTrace> traces = repeated(corpus(), 50);
+  write_shard(path, traces);
+  const std::size_t middle = traces.size() / 2;
+  flip_byte(path, 24 + hand_built(traces).frames[middle], 0x01);
+  for (const int threads : {1, 4}) {
+    const ThreadPool::ScopedLimit limit(threads);
+    EXPECT_DEATH({ TraceReader reader(path); }, "trace store")
+        << threads << " threads";
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceStoreShard, ReadIsThreadCountInvariant) {
+  // The reader fills and verifies the region in parallel chunks: one
+  // thread and four decode the same traces.
+  const std::string path = shard_path(temp_dir(), 19);
+  const std::vector<DimmTrace> traces = repeated(corpus(), 300);
+  write_shard(path, traces);
+  std::vector<DimmTrace> serial;
+  {
+    const ThreadPool::ScopedLimit limit(1);
+    const TraceReader reader(path);
+    for (std::size_t i = 0; i < reader.dimm_count(); ++i) {
+      serial.push_back(reader.read_dimm(i));
+    }
+  }
+  const ThreadPool::ScopedLimit limit(4);
+  const TraceReader reader(path);
+  ASSERT_EQ(reader.dimm_count(), traces.size());
+  ASSERT_EQ(serial.size(), traces.size());
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "record " << i);
+    const DimmTrace parallel = reader.read_dimm(i);
+    expect_traces_equal(serial[i], parallel);
+    EXPECT_EQ(trace_content_hash(parallel), trace_content_hash(traces[i]));
+  }
+  std::remove(path.c_str());
+}
+
+/// A record of `empty_trace` whose count field `from_end` bytes before the
+/// end (4: CEs, 3: events) claims 2^62 entries.
+std::vector<std::uint8_t> huge_count_record(std::size_t from_end) {
+  std::vector<std::uint8_t> record;
+  encode_dimm_record(empty_trace(), record);
+  const auto at = record.end() - static_cast<std::ptrdiff_t>(from_end);
+  EXPECT_EQ(*at, 0u);
+  std::vector<std::uint8_t> count;
+  push_varint(count, 1ULL << 62);
+  record.erase(at);
+  record.insert(record.end() - static_cast<std::ptrdiff_t>(from_end - 1),
+                count.begin(), count.end());
+  return record;
+}
+
+TEST(TraceStoreDeathTest, HugeCountsRejected) {
+  // A count is bounded by the bytes left before it sizes a vector, so a
+  // checksum-valid record claiming 2^62 CEs or events dies with a named
+  // diagnostic rather than an uncaught std::length_error.
+  const std::string path = shard_path(temp_dir(), 20);
+  HandBuiltShard shard;
+  shard.add(huge_count_record(4));
+  shard.add(huge_count_record(3));
+  write_file(path, shard.file());
+  EXPECT_DEATH(TraceReader(path).read_dimm(0),
+               "trace store: CE count exceeds the record in "
+               ".*shard-00020\\.mft \\(record 0\\)");
+  EXPECT_DEATH(TraceReader(path).read_dimm(1),
+               "trace store: event count exceeds the record in "
+               ".*shard-00020\\.mft \\(record 1\\)");
+  std::remove(path.c_str());
+}
+
+TEST(TraceStoreDeathTest, HugeIndexCountRejected) {
+  // An index entry takes at least one byte: a count of 2^62 dies before
+  // the reader sizes its record table.
+  const std::string path = shard_path(temp_dir(), 21);
+  HandBuiltShard shard = hand_built({sparse_trace()});
+  std::vector<std::uint8_t> index;
+  push_varint(index, 1ULL << 62);
+  index.push_back(0x00);
+  write_file(path, shard.file(index));
+  EXPECT_DEATH({ TraceReader reader(path); },
+               "trace store: index count exceeds the index in "
+               ".*shard-00021\\.mft");
   std::remove(path.c_str());
 }
 

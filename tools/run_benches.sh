@@ -5,16 +5,19 @@
 #                       pre-binned-training baseline — rerun after changes
 #                       to src/ml/{binning,decision_tree}*.
 #   BENCH_extract.json  BM_Extract / BM_FeaturesAt (incremental sliding-
-#                       window extraction + streaming serving) and
-#                       BM_Gemm / BM_GemmBt (dense kernel unrolling) vs the
-#                       pre-incremental baseline, and BM_StreamStorm (one
-#                       CE-storm DIMM through the serving fold) vs the
-#                       pre-split-ring window; medians of 5 repetitions
-#                       with their range — rerun after changes to
-#                       src/features/ or src/ml/tensor.cc; and
-#                       BM_ShardDecode (one 4096-DIMM shard decoded on one
-#                       thread) vs the heap-allocated error patterns —
-#                       rerun after changes to src/sim/trace_store.* or
+#                       window extraction + streaming serving), BM_Gemm /
+#                       BM_GemmBt (dense kernels), BM_StreamStorm (one
+#                       CE-storm DIMM through the serving fold),
+#                       BM_ShardDecode (every record of one 4096-DIMM shard
+#                       decoded on one thread) and BM_ShardRead (the same
+#                       shard read and verified at 1 and 4 threads). The
+#                       baseline is re-measured in the same run: this
+#                       tree's bench source built against BASE_REV
+#                       (default HEAD) and run alternately with the
+#                       current build, EXTRACT_ROUNDS (default 6) rounds;
+#                       medians with their range and the rounds the current
+#                       build won — rerun after changes to src/features/,
+#                       src/ml/tensor.cc, src/sim/trace_store.* or
 #                       src/dram/error_pattern.*.
 #   BENCH_predict.json  BM_ForestPredict / BM_GbdtPredict row-count scaling
 #                       of the flat batched inference engine. The baseline
@@ -149,79 +152,121 @@ EOF
 fi
 
 if want extract; then
-RAW_EXTRACT="$BUILD/bench_extract_raw.json"
-"$BUILD/bench/bench_micro" \
-  --benchmark_filter='^BM_(Extract|FeaturesAt|StreamStorm|ShardDecode|Gemm|GemmBt)$' \
-  --benchmark_repetitions=5 \
-  --benchmark_out="$RAW_EXTRACT" --benchmark_out_format=json >&2
+# The baseline is re-measured in the same run: this tree's bench_micro.cc
+# built against BASE_REV's sources (default HEAD, the committed tree, so a
+# change recorded before its commit compares against its parent), run in
+# alternating order with the current build for EXTRACT_ROUNDS rounds. Both
+# sides see the same host load; the speedup column is the ratio of their
+# medians. When this tree's bench source does not build against BASE_REV,
+# BASE_REV's own bench source is used and benches it lacks get no baseline.
+BASE_REV="${BASE_REV:-HEAD}"
+ROUNDS="${EXTRACT_ROUNDS:-6}"
+BASE_COMMIT="$(git -C "$ROOT" rev-parse --short "$BASE_REV")"
+BASE_SRC="$BUILD/bench_base/src"
+BASE_BUILD="$BUILD/bench_base/build"
+BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$BUILD/CMakeCache.txt")"
+if [ "$(cat "$BASE_SRC/.rev" 2>/dev/null)" != "$BASE_COMMIT" ]; then
+  rm -rf "$BASE_SRC"
+  mkdir -p "$BASE_SRC"
+  git -C "$ROOT" archive "$BASE_COMMIT" | tar -x -C "$BASE_SRC"
+  echo "$BASE_COMMIT" > "$BASE_SRC/.rev"
+fi
+cmake -S "$BASE_SRC" -B "$BASE_BUILD" -DCMAKE_BUILD_TYPE="$BUILD_TYPE" >&2
+BASE_BENCH_SOURCE="working tree"
+cp "$ROOT/bench/bench_micro.cc" "$BASE_SRC/bench/bench_micro.cc"
+if ! cmake --build "$BASE_BUILD" -j --target bench_micro >&2; then
+  echo "run_benches.sh: bench/bench_micro.cc does not build against" \
+       "$BASE_COMMIT; using $BASE_COMMIT's own" >&2
+  git -C "$ROOT" show "$BASE_COMMIT:bench/bench_micro.cc" \
+    > "$BASE_SRC/bench/bench_micro.cc"
+  BASE_BENCH_SOURCE="$BASE_COMMIT"
+  cmake --build "$BASE_BUILD" -j --target bench_micro >&2
+fi
 
-python3 - "$RAW_EXTRACT" "$ROOT/BENCH_extract.json" <<'EOF'
+EXTRACT_FILTER='^BM_(Extract|FeaturesAt|StreamStorm|ShardDecode|Gemm|GemmBt)$|^BM_ShardRead/'
+RAW_EXTRACT=()
+for round in $(seq 1 "$ROUNDS"); do
+  # Odd rounds run the baseline first, even rounds the current build.
+  sides="base current"
+  if [ $((round % 2)) -eq 0 ]; then sides="current base"; fi
+  for side in $sides; do
+    bin="$BUILD/bench/bench_micro"
+    if [ "$side" = base ]; then bin="$BASE_BUILD/bench/bench_micro"; fi
+    raw="$BUILD/bench_extract_${side}_${round}_raw.json"
+    "$bin" --benchmark_filter="$EXTRACT_FILTER" \
+      --benchmark_out="$raw" --benchmark_out_format=json >&2
+    RAW_EXTRACT+=("$side" "$raw")
+  done
+done
+
+python3 - "$ROOT/BENCH_extract.json" "$BASE_COMMIT" "$BASE_BENCH_SOURCE" \
+  "${RAW_EXTRACT[@]}" <<'EOF'
 import json
+import statistics
 import sys
 
-raw_path, out_path = sys.argv[1], sys.argv[2]
-with open(raw_path) as f:
-    raw = json.load(f)
-
-# Wall times (ms, median) before the change each bench tracks, measured
-# with the same generators as the benches. At commit 65df1cd, before
-# incremental extraction: BM_Extract = full-trace batch extraction
-# (storm-heavy, hourly cadence, 5000 ticks); BM_FeaturesAt = 200 successive
-# per-DIMM serving calls (the old path deep-copied the trace and rebuilt an
-# extractor per call); BM_Gemm / BM_GemmBt = dense 256x64 @ 64x64 products
-# before the unrolled kernels. At commit 5c7df8d, before the split window
-# rings: BM_StreamStorm = one CE-storm DIMM folded with ingest_ce_at and
-# scored every 6-hour tick (median of 5 repetitions, 4-CPU Xeon host). At
-# commit c60c82b, before inline error patterns: BM_ShardDecode = every
-# record of one 4096-DIMM Purley shard decoded and dropped on one thread
-# (same host; the median of six runs alternated with the change's, each the
-# median of 5 repetitions, 191-212 ms).
-BASELINE = {
-    "BM_Extract": ("65df1cd", 800.0),
-    "BM_FeaturesAt": ("65df1cd", 391.0),
-    "BM_Gemm": ("65df1cd", 0.617),
-    "BM_GemmBt": ("65df1cd", 0.437),
-    "BM_StreamStorm": ("5c7df8d", 11.4),
-    "BM_ShardDecode": ("c60c82b", 200.0),
-}
+out_path, base_commit, base_source = sys.argv[1:4]
+runs = sys.argv[4:]  # side, raw file, side, raw file, ...
 
 UNIT_TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
 
-# Median over the repetitions, with the range of the repetitions as spread.
-current = {}
-spread = {}
-for entry in raw.get("benchmarks", []):
-    name = entry.get("run_name", entry["name"])
-    if name not in BASELINE:
-        continue
-    ms = round(entry["real_time"] * UNIT_TO_MS[entry.get("time_unit", "ns")], 4)
-    if entry.get("run_type", "iteration") == "iteration":
-        lo, hi = spread.get(name, (ms, ms))
-        spread[name] = (min(lo, ms), max(hi, ms))
-    elif entry.get("aggregate_name") == "median":
-        current[name] = ms
+# times[side][bench] = one wall time (ms) per round, in round order.
+times = {"base": {}, "current": {}}
+context = {}
+for side, raw_path in zip(runs[0::2], runs[1::2]):
+    with open(raw_path) as f:
+        raw = json.load(f)
+    if side == "current" and not context:
+        context = raw.get("context", {})
+    for entry in raw.get("benchmarks", []):
+        if entry.get("run_type", "iteration") != "iteration":
+            continue
+        ms = entry["real_time"] * UNIT_TO_MS[entry.get("time_unit", "ns")]
+        times[side].setdefault(entry["name"], []).append(ms)
 
-speedup = {
-    bench: round(base / current[bench], 2)
-    for bench, (_, base) in BASELINE.items()
-    if current.get(bench)
-}
+
+def medians(side):
+    return {bench: round(statistics.median(ms), 4)
+            for bench, ms in sorted(times[side].items())}
+
+
+def ranges(side):
+    return {bench: [round(min(ms), 4), round(max(ms), 4)]
+            for bench, ms in sorted(times[side].items())}
+
+
+baseline = medians("base")
+current = medians("current")
+speedup = {}
+rounds_won = {}
+for bench, now in current.items():
+    base_ms = times["base"].get(bench)
+    if not base_ms or now <= 0:
+        continue
+    speedup[bench] = round(baseline[bench] / now, 2)
+    won = sum(c < b for c, b in zip(times["current"][bench], base_ms))
+    rounds_won[bench] = f"{won}/{len(base_ms)}"
 
 out = {
     "generated_by": "tools/run_benches.sh",
     "threads": 1,
-    "repetitions": 5,
-    "context": raw.get("context", {}),
-    "baseline_commit": {bench: commit for bench, (commit, _) in BASELINE.items()},
-    "baseline_ms": {bench: ms for bench, (_, ms) in BASELINE.items()},
+    "threads_note": "BM_ShardRead/threads:N runs on N threads",
+    "rounds": len(runs) // 4,
+    "context": context,
+    "baseline_commit": base_commit,
+    "baseline_bench_source": base_source,
+    "baseline_ms": baseline,
+    "baseline_spread_ms": ranges("base"),
     "current_ms": current,
-    "spread_ms": {bench: list(lo_hi) for bench, lo_hi in spread.items()},
+    "spread_ms": ranges("current"),
     "speedup": speedup,
+    "rounds_won": rounds_won,
 }
 with open(out_path, "w") as f:
     json.dump(out, f, indent=2, sort_keys=True)
     f.write("\n")
-print(json.dumps(speedup, indent=2, sort_keys=True))
+print(json.dumps({"speedup": speedup, "rounds_won": rounds_won}, indent=2,
+                 sort_keys=True))
 EOF
 fi
 
