@@ -72,6 +72,8 @@ inline std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t value) {
 
 /// fnv1a_u64(h, value), bit for bit, for a 32-bit value: the four zero high
 /// bytes only multiply by the prime, so they fold into one multiply by P^4.
+/// GCC -O2 keeps fnv1a_u64's eight-step loop for a zero-extended value, so
+/// this does five multiplies instead of eight there (-O3 folds both alike).
 inline std::uint64_t fnv1a_u32_as_u64(std::uint64_t h, std::uint32_t value) {
   constexpr std::uint64_t kPrime4 =
       kFnvPrime * kFnvPrime * kFnvPrime * kFnvPrime;
@@ -130,10 +132,9 @@ struct ShardStats {
 /// reject it via the missing footer magic.
 ///
 /// A batch append encodes and content-hashes its records in parallel on the
-/// global ThreadPool, one slot per record, each payload buffer sized once
-/// from the record's CE, event and error-bit counts. The calling thread
-/// writes the frames and folds each record's length and content hash into
-/// the record checksum in record order as each record becomes ready
+/// global ThreadPool, one slot per record. The calling thread writes the
+/// frames and folds each record's length and content hash into the record
+/// checksum in record order as each record becomes ready
 /// (ThreadPool::parallel_for_ordered), freeing each payload once written;
 /// the file bytes do not depend on the thread count.
 class ShardWriter {

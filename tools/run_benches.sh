@@ -12,13 +12,12 @@
 #                       decoded on one thread) and BM_ShardRead (the same
 #                       shard read and verified at 1 and 4 threads). The
 #                       baseline is re-measured in the same run: this
-#                       tree's bench source built against BASE_REV
-#                       (default HEAD) and run alternately with the
-#                       current build, EXTRACT_ROUNDS (default 6) rounds;
+#                       tree's bench source built against HEAD and run
+#                       alternately with the current build for 6 rounds;
 #                       medians with their range and the rounds the current
 #                       build won — rerun after changes to src/features/,
-#                       src/ml/tensor.cc, src/sim/trace_store.* or
-#                       src/dram/error_pattern.*.
+#                       src/ml/tensor.cc, src/sim/trace_{store,reader}.*
+#                       or src/dram/error_pattern.*.
 #   BENCH_predict.json  BM_ForestPredict / BM_GbdtPredict row-count scaling
 #                       of the flat batched inference engine. The baseline
 #                       here is not frozen: the *Walker variants re-measure
@@ -35,8 +34,8 @@
 #   BENCH_fleet.json    sharded fleet driver scale sweep (10^4 -> 10^6
 #                       DIMMs, 56-day horizon): DIMMs/sec, events/sec,
 #                       encoded bytes/event and peak RSS per point — rerun
-#                       after changes to src/sim/trace_store.* or
-#                       src/core/fleet_driver.*. Written by bench_fleet
+#                       after changes to src/sim/trace_{store,reader}.*
+#                       or src/core/fleet_driver.*. Written by bench_fleet
 #                       itself; expect ~15 minutes for the full sweep.
 #   BENCH_serving.json  online serving engine: events/sec and p50/p99 tick
 #                       latency for the frozen serial-baseline workload
@@ -153,15 +152,13 @@ fi
 
 if want extract; then
 # The baseline is re-measured in the same run: this tree's bench_micro.cc
-# built against BASE_REV's sources (default HEAD, the committed tree, so a
-# change recorded before its commit compares against its parent), run in
-# alternating order with the current build for EXTRACT_ROUNDS rounds. Both
-# sides see the same host load; the speedup column is the ratio of their
-# medians. When this tree's bench source does not build against BASE_REV,
-# BASE_REV's own bench source is used and benches it lacks get no baseline.
-BASE_REV="${BASE_REV:-HEAD}"
-ROUNDS="${EXTRACT_ROUNDS:-6}"
-BASE_COMMIT="$(git -C "$ROOT" rev-parse --short "$BASE_REV")"
+# built against HEAD's sources (the committed tree, so a change recorded
+# before its commit compares against its parent), run in alternating order
+# with the current build for ROUNDS rounds. Both sides see the same host
+# load; the speedup column is the ratio of their medians. The script stops
+# if this tree's bench source does not build against HEAD.
+ROUNDS=6
+BASE_COMMIT="$(git -C "$ROOT" rev-parse --short HEAD)"
 BASE_SRC="$BUILD/bench_base/src"
 BASE_BUILD="$BUILD/bench_base/build"
 BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$BUILD/CMakeCache.txt")"
@@ -172,16 +169,8 @@ if [ "$(cat "$BASE_SRC/.rev" 2>/dev/null)" != "$BASE_COMMIT" ]; then
   echo "$BASE_COMMIT" > "$BASE_SRC/.rev"
 fi
 cmake -S "$BASE_SRC" -B "$BASE_BUILD" -DCMAKE_BUILD_TYPE="$BUILD_TYPE" >&2
-BASE_BENCH_SOURCE="working tree"
 cp "$ROOT/bench/bench_micro.cc" "$BASE_SRC/bench/bench_micro.cc"
-if ! cmake --build "$BASE_BUILD" -j --target bench_micro >&2; then
-  echo "run_benches.sh: bench/bench_micro.cc does not build against" \
-       "$BASE_COMMIT; using $BASE_COMMIT's own" >&2
-  git -C "$ROOT" show "$BASE_COMMIT:bench/bench_micro.cc" \
-    > "$BASE_SRC/bench/bench_micro.cc"
-  BASE_BENCH_SOURCE="$BASE_COMMIT"
-  cmake --build "$BASE_BUILD" -j --target bench_micro >&2
-fi
+cmake --build "$BASE_BUILD" -j --target bench_micro >&2
 
 EXTRACT_FILTER='^BM_(Extract|FeaturesAt|StreamStorm|ShardDecode|Gemm|GemmBt)$|^BM_ShardRead/'
 RAW_EXTRACT=()
@@ -199,14 +188,13 @@ for round in $(seq 1 "$ROUNDS"); do
   done
 done
 
-python3 - "$ROOT/BENCH_extract.json" "$BASE_COMMIT" "$BASE_BENCH_SOURCE" \
-  "${RAW_EXTRACT[@]}" <<'EOF'
+python3 - "$ROOT/BENCH_extract.json" "$BASE_COMMIT" "${RAW_EXTRACT[@]}" <<'EOF'
 import json
 import statistics
 import sys
 
-out_path, base_commit, base_source = sys.argv[1:4]
-runs = sys.argv[4:]  # side, raw file, side, raw file, ...
+out_path, base_commit = sys.argv[1:3]
+runs = sys.argv[3:]  # side, raw file, side, raw file, ...
 
 UNIT_TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
 
@@ -254,7 +242,6 @@ out = {
     "rounds": len(runs) // 4,
     "context": context,
     "baseline_commit": base_commit,
-    "baseline_bench_source": base_source,
     "baseline_ms": baseline,
     "baseline_spread_ms": ranges("base"),
     "current_ms": current,
