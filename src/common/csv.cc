@@ -1,7 +1,6 @@
 #include "common/csv.h"
 
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace memfp {
@@ -57,93 +56,6 @@ void CsvWriter::save(const std::string& path) const {
   if (!file) throw std::runtime_error("CsvWriter: cannot open " + path);
   file << to_string();
   if (!file) throw std::runtime_error("CsvWriter: write failed for " + path);
-}
-
-std::size_t CsvTable::column(const std::string& name) const {
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == name) return i;
-  }
-  throw std::out_of_range("CsvTable: no column named " + name);
-}
-
-CsvTable parse_csv(const std::string& text) {
-  std::vector<std::vector<std::string>> records;
-  std::vector<std::string> record;
-  std::string field;
-  bool in_quotes = false;
-  bool field_started = false;
-
-  auto end_field = [&] {
-    record.push_back(std::move(field));
-    field.clear();
-    field_started = false;
-  };
-  auto end_record = [&] {
-    end_field();
-    records.push_back(std::move(record));
-    record.clear();
-  };
-
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field += c;
-      }
-      continue;
-    }
-    switch (c) {
-      case '"':
-        if (field.empty() && !field_started) {
-          in_quotes = true;
-          field_started = true;
-        } else {
-          throw std::runtime_error("parse_csv: stray quote");
-        }
-        break;
-      case ',':
-        end_field();
-        break;
-      case '\r':
-        break;  // handled with the following \n
-      case '\n':
-        end_record();
-        break;
-      default:
-        field += c;
-        field_started = true;
-        break;
-    }
-  }
-  if (in_quotes) throw std::runtime_error("parse_csv: unterminated quote");
-  if (field_started || !field.empty() || !record.empty()) end_record();
-
-  if (records.empty()) throw std::runtime_error("parse_csv: empty input");
-  CsvTable table;
-  table.header = std::move(records.front());
-  for (std::size_t r = 1; r < records.size(); ++r) {
-    if (records[r].size() == 1 && records[r][0].empty()) continue;  // blank line
-    if (records[r].size() != table.header.size()) {
-      throw std::runtime_error("parse_csv: ragged row " + std::to_string(r));
-    }
-    table.rows.push_back(std::move(records[r]));
-  }
-  return table;
-}
-
-CsvTable load_csv(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw std::runtime_error("load_csv: cannot open " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return parse_csv(buffer.str());
 }
 
 }  // namespace memfp

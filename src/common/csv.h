@@ -1,7 +1,5 @@
-// CSV reading/writing for dataset export and bench output.
-//
-// Supports RFC-4180 quoting on write; the reader handles quoted fields with
-// embedded separators/quotes, which is all the project's own files use.
+// CSV writing for dataset export: RFC-4180 quoting (fields holding a comma,
+// quote or line break are quoted, embedded quotes doubled), LF line ends.
 #pragma once
 
 #include <string>
@@ -24,20 +22,5 @@ class CsvWriter {
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-struct CsvTable {
-  std::vector<std::string> header;
-  std::vector<std::vector<std::string>> rows;
-
-  /// Column index by name; throws std::out_of_range when missing.
-  std::size_t column(const std::string& name) const;
-};
-
-/// Parses CSV text (first line is the header).
-/// Throws std::runtime_error on malformed quoting or ragged rows.
-CsvTable parse_csv(const std::string& text);
-
-/// Loads and parses a CSV file; throws std::runtime_error on IO failure.
-CsvTable load_csv(const std::string& path);
 
 }  // namespace memfp

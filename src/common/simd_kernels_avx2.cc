@@ -31,7 +31,6 @@ const KernelTable kAvx2Table = {
     generic::gini_gain_scan<4>,
     /*partition=*/nullptr,
     generic::bin_transform<8>,
-    generic::fixed_bins<4>,
     generic::gemm<8>,
     generic::gemm_at<8>,
     gemm_bt_avx2,

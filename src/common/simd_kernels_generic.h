@@ -14,8 +14,8 @@
 //  * gain_scan / gemm keep the scalar expression's per-element op order and
 //    rely on the TU being compiled with -ffp-contract=off, so mul + add
 //    never fuses into an FMA the scalar lane doesn't have.
-//  * bin_transform / fixed_bins produce integers from comparisons — the
-//    lane only changes how many elements are classified per iteration.
+//  * bin_transform produces integers from comparisons — the lane only
+//    changes how many elements are classified per iteration.
 #pragma once
 
 #include <cstddef>
@@ -166,41 +166,6 @@ void bin_transform(const float* column, std::size_t n,
     int cnt = 0;
     for (int t = 0; t < count; ++t) cnt += thresholds[t] < column[i];
     codes[i] = static_cast<std::uint8_t>(cnt);
-  }
-}
-
-/// Fixed-width histogram bins. The clamp happens on the double side
-/// (min(q, bins - 1) before truncation), matching Histogram::add and the
-/// scalar lane exactly — +inf and beyond-2^63-widths values clamp to the
-/// top bin — and keeping the vector double->int conversion in range.
-template <int W>
-void fixed_bins(const double* values, std::size_t n, double lo, double width,
-                std::size_t bins, std::uint32_t* out) {
-  using VD = VecT<double, W>;
-  using VM = VecT<long long, W>;
-  const VD vlo = vsplat<VD>(lo);
-  const VD vwidth = vsplat<VD>(width);
-  const VD vmax = vsplat<VD>(static_cast<double>(bins - 1));
-  std::size_t i = 0;
-  for (; i + W <= n; i += W) {
-    const VD v = vload<VD>(values + i);
-    VD q = (v - vlo) / vwidth;
-    q = q > vmax ? vmax : q;
-    const VM b = __builtin_convertvector(q, VM);
-    const VM sel = (v > vlo) ? b : VM{};
-    for (int l = 0; l < W; ++l) {
-      out[i + static_cast<std::size_t>(l)] =
-          static_cast<std::uint32_t>(sel[l]);
-    }
-  }
-  for (; i < n; ++i) {
-    std::uint32_t bin = 0;
-    if (values[i] > lo) {
-      double q = (values[i] - lo) / width;
-      if (q > static_cast<double>(bins - 1)) q = static_cast<double>(bins - 1);
-      bin = static_cast<std::uint32_t>(q);
-    }
-    out[i] = bin;
   }
 }
 

@@ -111,22 +111,6 @@ void bin_transform_scalar(const float* column, std::size_t n,
   }
 }
 
-void fixed_bins_scalar(const double* values, std::size_t n, double lo,
-                       double width, std::size_t bins, std::uint32_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t bin = 0;
-    if (values[i] > lo) {
-      // Clamp before the cast (matches Histogram::add and the vector
-      // lanes): casting an over-range quotient — +inf included — is UB.
-      double q = (values[i] - lo) / width;
-      const double top = static_cast<double>(bins - 1);
-      if (q > top) q = top;
-      bin = static_cast<std::uint32_t>(q);
-    }
-    out[i] = bin;
-  }
-}
-
 void gemm_scalar(const float* a, const float* b, float* out, std::size_t m,
                  std::size_t k, std::size_t n) {
   for (std::size_t i = 0; i < m; ++i) {
@@ -211,7 +195,6 @@ const KernelTable kScalarTable = {
     gini_gain_scan_scalar,
     partition_scalar,
     bin_transform_scalar,
-    fixed_bins_scalar,
     gemm_scalar,
     gemm_at_scalar,
     gemm_bt_scalar,

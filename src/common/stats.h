@@ -1,44 +1,10 @@
-// Streaming and batch descriptive statistics used across feature extraction,
-// calibration and benchmarking.
+// Distribution statistics for the monitoring stage.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 namespace memfp {
-
-/// Welford online accumulator: mean/variance in one pass, numerically stable.
-class RunningStats {
- public:
-  void add(double x);
-  void merge(const RunningStats& other);
-
-  std::size_t count() const { return count_; }
-  double mean() const { return count_ == 0 ? 0.0 : mean_; }
-  /// Sample variance (n-1 denominator); 0 when fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double min() const { return count_ == 0 ? 0.0 : min_; }
-  double max() const { return count_ == 0 ? 0.0 : max_; }
-  double sum() const { return sum_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
-/// Percentile with linear interpolation; q in [0, 1]. Sorts a copy.
-double percentile(std::vector<double> values, double q);
-
-double mean(const std::vector<double>& values);
-double stddev(const std::vector<double>& values);
-
-/// Pearson correlation; 0 when either side is constant or sizes mismatch.
-double pearson(const std::vector<double>& x, const std::vector<double>& y);
 
 /// Population Stability Index between two distributions over shared bins.
 /// Standard drift measure: <0.1 stable, 0.1-0.25 moderate, >0.25 major shift.

@@ -50,7 +50,7 @@ struct FleetDriverConfig {
   std::size_t shards = 16;
   /// Directory for the spilled shard files (created if missing).
   std::string store_dir;
-  /// Keep the sealed shard files after the run (a DataLake spill does);
+  /// Keep the sealed shard files after the run (for DataLake::ingest_shards);
   /// false deletes each shard once scored, bounding disk to one shard too.
   bool keep_store = false;
   /// Thread cap for the run (0 = pool default). Any value produces

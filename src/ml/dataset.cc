@@ -23,20 +23,6 @@ std::size_t Dataset::positives() const {
   return count;
 }
 
-Dataset Dataset::select(const std::vector<std::size_t>& rows) const {
-  Dataset out;
-  out.categorical = categorical;
-  out.x = Matrix(0, 0);
-  for (std::size_t r : rows) {
-    out.x.push_row(x.row(r));
-    out.y.push_back(y[r]);
-    out.weight.push_back(weight[r]);
-    out.dimm.push_back(dimm[r]);
-    out.time.push_back(time[r]);
-  }
-  return out;
-}
-
 Dataset make_dataset(const features::SampleSet& samples) {
   Dataset dataset;
   for (std::size_t i = 0; i < samples.schema.size(); ++i) {

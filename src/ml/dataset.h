@@ -62,9 +62,6 @@ struct Dataset {
 
   std::size_t size() const { return y.size(); }
   std::size_t positives() const;
-
-  /// Keeps only the listed rows (in the given order).
-  Dataset select(const std::vector<std::size_t>& rows) const;
 };
 
 /// Builds a Dataset from trainable samples (label >= 0).

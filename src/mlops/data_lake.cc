@@ -1,10 +1,7 @@
 #include "mlops/data_lake.h"
 
-#include <algorithm>
-#include <cstdint>
-#include <cstdio>
 #include <filesystem>
-#include <span>
+#include <set>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
@@ -29,43 +26,24 @@ void DataLake::replace(const std::string& partition, Partition next) {
   const auto it = partitions_.find(partition);
   if (it != partitions_.end()) {
     record_count_ -= it->second.meta.records;
-    // A replaced spill is dead on disk too (idempotent backfill). Every
-    // spill ingest writes into a fresh generation directory, so the old
-    // generation's paths can never alias the replacement's files.
+    // A replaced shard set is dead on disk too (idempotent backfill), but a
+    // file the replacement holds is live: re-adopting the same set keeps it.
+    const std::set<std::string> live(next.shard_files.begin(),
+                                     next.shard_files.end());
     std::error_code ec;
     for (const std::string& path : it->second.shard_files) {
-      std::filesystem::remove(path, ec);
+      if (live.count(path) == 0) std::filesystem::remove(path, ec);
     }
     for (const std::string& path : it->second.shard_files) {
-      // Prune the emptied generation directory; remove() refuses (sets ec)
-      // while entries remain, so a shared/adopted dir is left alone.
-      std::filesystem::remove(std::filesystem::path(path).parent_path(), ec);
+      // Prune an emptied shard directory; remove() refuses (sets ec) while
+      // entries remain, so a shared or still-live directory is left alone.
+      if (live.count(path) == 0) {
+        std::filesystem::remove(std::filesystem::path(path).parent_path(), ec);
+      }
     }
   }
   record_count_ += next.meta.records;
   partitions_[partition] = std::move(next);
-}
-
-std::string DataLake::spill_dir_for(const std::string& partition,
-                                    std::size_t generation) const {
-  // The sanitized leaf alone is ambiguous ("a/b" and "a_b" collide), so it
-  // carries a hash of the raw key; the generation counter gives every spill
-  // ingest a directory no earlier generation ever wrote to, which is what
-  // makes replacing a live spilled partition safe.
-  std::string leaf;
-  leaf.reserve(partition.size() + 26);
-  for (const char c : partition) {
-    const bool safe = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '.' || c == '-';
-    leaf.push_back(safe ? c : '_');
-  }
-  const std::uint64_t hash =
-      sim::fnv1a_bytes(sim::kFnvOffset, partition.data(), partition.size());
-  char suffix[32];
-  std::snprintf(suffix, sizeof(suffix), "-%016llx-g%06zu",
-                static_cast<unsigned long long>(hash), generation);
-  leaf += suffix;
-  return (std::filesystem::path(spill_.dir) / leaf).string();
 }
 
 void DataLake::ingest(const std::string& partition, sim::FleetTrace trace) {
@@ -74,34 +52,7 @@ void DataLake::ingest(const std::string& partition, sim::FleetTrace trace) {
   next.meta.horizon = trace.horizon;
   next.meta.dimms = trace.dimms.size();
   next.meta.records = trace_records(trace);
-
-  const bool spill = !spill_.dir.empty() &&
-                     trace.dimms.size() > spill_.max_resident_dimms;
-  if (!spill) {
-    next.resident = std::move(trace);
-    replace(partition, std::move(next));
-    return;
-  }
-
-  // Spill on ingest: encode the snapshot into a fresh shard set and keep
-  // only the metadata resident. The generation counter guarantees the new
-  // shards never land on the previous spill's paths, so replace() below can
-  // delete the old files without touching these.
-  const std::string dir = spill_dir_for(partition, spill_seq_++);
-  std::filesystem::create_directories(dir);
-  const std::size_t per_shard = std::max<std::size_t>(1, spill_.dimms_per_shard);
-  for (std::size_t begin = 0, shard = 0; begin < trace.dimms.size();
-       begin += per_shard, ++shard) {
-    const std::size_t end =
-        std::min(trace.dimms.size(), begin + per_shard);
-    const std::string path = sim::shard_path(dir, shard);
-    sim::ShardWriter writer(path, trace.platform, trace.horizon);
-    writer.append(std::span<const sim::DimmTrace>(trace.dimms)
-                      .subspan(begin, end - begin));
-    writer.finish();
-    next.shard_files.push_back(path);
-  }
-  next.meta.spilled = true;
+  next.resident = std::move(trace);
   replace(partition, std::move(next));
 }
 
@@ -110,15 +61,29 @@ void DataLake::ingest_shards(const std::string& partition,
   if (!std::filesystem::is_directory(dir)) {
     throw std::invalid_argument("DataLake: " + dir + " is not a directory");
   }
-  const std::vector<std::string> shards = sim::list_shards(dir);
-  if (shards.empty()) {
+  Partition next;
+  for (const std::string& shard : sim::list_shards(dir)) {
+    // Canonical paths, so one file reached through two spellings of `dir`
+    // is recognised as the same file by the ownership check and replace().
+    next.shard_files.push_back(std::filesystem::canonical(shard).string());
+  }
+  if (next.shard_files.empty()) {
     throw std::invalid_argument("DataLake: no shards under " + dir);
   }
-  Partition next;
-  next.shard_files = shards;
+  const std::set<std::string> incoming(next.shard_files.begin(),
+                                       next.shard_files.end());
+  for (const auto& [key, owner] : partitions_) {
+    if (key == partition) continue;
+    for (const std::string& path : owner.shard_files) {
+      if (incoming.count(path) != 0) {
+        throw std::invalid_argument("DataLake: shard " + path +
+                                    " is already owned by partition " + key);
+      }
+    }
+  }
   next.meta.spilled = true;
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    const sim::TraceReader reader(shards[s]);
+  for (std::size_t s = 0; s < next.shard_files.size(); ++s) {
+    const sim::TraceReader reader(next.shard_files[s]);
     if (s == 0) {
       next.meta.platform = reader.platform();
       next.meta.horizon = reader.horizon();

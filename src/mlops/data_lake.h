@@ -2,13 +2,13 @@
 // from the BMC collectors lands in an append-only, source-partitioned lake.
 // An in-process stand-in for Huawei's DLI: same dataflow, no cluster.
 //
-// A partition is either *resident* (a FleetTrace in memory, the historical
-// behaviour) or *spilled* (a shard set of compact binary trace-store files on
-// disk — see src/sim/trace_store.h). Spilling happens transparently on
-// ingest once a SpillPolicy is set and the partition crosses the resident
-// threshold; consumers that stream (for_each_dimm) never notice the
-// difference, while whole-trace consumers use get() (resident only) or
-// materialize() (decodes a spilled partition back into a FleetTrace).
+// A partition is either *resident* (a FleetTrace in memory, from ingest) or
+// *spilled* (a sealed shard set of compact binary trace-store files on disk,
+// see src/sim/trace_store.h, adopted with ingest_shards; the fleet driver's
+// keep_store run is what writes one). Consumers that stream (for_each_dimm)
+// never notice the difference, while whole-trace consumers use get()
+// (resident only) or materialize() (decodes a spilled partition back into a
+// FleetTrace).
 #pragma once
 
 #include <cstddef>
@@ -23,29 +23,18 @@ namespace memfp::mlops {
 
 class DataLake {
  public:
-  struct SpillPolicy {
-    /// Root directory for spilled partitions ("" disables spilling).
-    std::string dir;
-    /// Partitions with more observed DIMMs than this spill on ingest.
-    std::size_t max_resident_dimms = 0;
-    /// Shard granularity of a spilled partition.
-    std::size_t dimms_per_shard = 4096;
-  };
-
-  /// Installs (or clears, with an empty dir) the spill policy. Affects
-  /// future ingests only; already-resident partitions stay resident.
-  void set_spill_policy(SpillPolicy policy) { spill_ = std::move(policy); }
-
-  /// Appends a fleet snapshot under a partition key, e.g. "bmc/purley/2023H1".
-  /// Re-ingesting an existing partition replaces it (idempotent backfills) —
-  /// including replacing a spilled shard set, whose files are deleted.
+  /// Stores a fleet snapshot as a resident partition under a key, e.g.
+  /// "bmc/purley/2023H1". Re-ingesting an existing partition replaces it
+  /// (idempotent backfills); a replaced shard set's files are deleted.
   void ingest(const std::string& partition, sim::FleetTrace trace);
 
   /// Adopts an existing sealed shard set (e.g. written by the fleet driver
   /// with keep_store) as a spilled partition, without re-encoding it (one
   /// decode pass seeds the record counter). The lake takes ownership of the
   /// files; the directory must hold at least one shard and all shards must
-  /// agree on platform and horizon.
+  /// agree on platform and horizon. Re-adopting the partition's own shard
+  /// set is an idempotent backfill that keeps the files; a shard another
+  /// partition owns throws std::invalid_argument.
   void ingest_shards(const std::string& partition, const std::string& dir);
 
   bool contains(const std::string& partition) const;
@@ -89,18 +78,16 @@ class DataLake {
  private:
   struct Partition {
     sim::FleetTrace resident;              // valid iff shard_files.empty()
-    std::vector<std::string> shard_files;  // valid iff non-empty
+    std::vector<std::string> shard_files;  // canonical; valid iff non-empty
     PartitionInfo meta;
   };
 
+  /// Installs `next`, deleting the old partition's shard files except those
+  /// `next` holds itself.
   void replace(const std::string& partition, Partition next);
-  std::string spill_dir_for(const std::string& partition,
-                            std::size_t generation) const;
 
   std::map<std::string, Partition> partitions_;
-  SpillPolicy spill_;
   std::size_t record_count_ = 0;
-  std::size_t spill_seq_ = 0;  // next spill generation (unique dir per ingest)
 };
 
 }  // namespace memfp::mlops

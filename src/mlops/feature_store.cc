@@ -23,11 +23,6 @@ Json FeatureStore::catalog() const {
   return out;
 }
 
-std::vector<features::Sample> FeatureStore::batch_transform(
-    const sim::DimmTrace& trace, SimTime horizon) const {
-  return extractor_.extract(trace, horizon);
-}
-
 std::vector<float> FeatureStore::serve(const sim::DimmTrace& trace,
                                        SimTime t) const {
   return extractor_.features_at(trace, t);
@@ -41,7 +36,8 @@ features::OnlineExtractorState FeatureStore::open_stream(
 bool FeatureStore::check_consistency(const sim::DimmTrace& trace, SimTime t,
                                      SimTime horizon) const {
   const std::vector<float> served = serve(trace, t);
-  const std::vector<features::Sample> batch = batch_transform(trace, horizon);
+  const std::vector<features::Sample> batch =
+      extractor_.extract(trace, horizon);
   const features::Sample* at_t = nullptr;
   for (const features::Sample& sample : batch) {
     if (sample.time == t) {

@@ -1,7 +1,7 @@
-// Feature Store stage (paper Fig 6): a catalog of feature definitions, a
-// batch transformation path for model training, and a streaming serving path
-// for online prediction — with a verifiable training/serving consistency
-// guarantee (both paths run the same extractor).
+// Feature Store stage (paper Fig 6): a catalog of feature definitions and a
+// streaming serving path for online prediction, with a verifiable
+// training/serving consistency guarantee against the batch rows training
+// is built from (both paths run the same extractor).
 #pragma once
 
 #include "common/json.h"
@@ -20,10 +20,6 @@ class FeatureStore {
     return extractor_.schema();
   }
 
-  /// Batch transformation: labeled samples for training (one DIMM's trace).
-  std::vector<features::Sample> batch_transform(const sim::DimmTrace& trace,
-                                                SimTime horizon) const;
-
   /// Streaming serving: point-in-time-correct features for online scoring.
   /// One-shot — replays the trace prefix per call.
   std::vector<float> serve(const sim::DimmTrace& trace, SimTime t) const;
@@ -31,7 +27,7 @@ class FeatureStore {
   /// Opens a persistent streaming extraction state for one DIMM: feed
   /// telemetry as it arrives, query features at non-decreasing times with no
   /// trace copies and no extractor reconstruction. Byte-identical to serve()
-  /// and to batch_transform rows (the consistency guarantee).
+  /// and to the extractor's batch rows (the consistency guarantee).
   features::OnlineExtractorState open_stream(const sim::DimmTrace& trace) const;
 
   /// Training/serving consistency check: the batch row at time t must equal

@@ -1,4 +1,4 @@
-#include "dram/hsiao.h"
+#include "support/hsiao.h"
 
 #include <bit>
 

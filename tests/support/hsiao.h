@@ -3,9 +3,10 @@
 // check bits whose parity-check matrix uses only odd-weight columns, giving
 // single-error correction and guaranteed double-error detection.
 //
-// The pattern-level SecDedEcc classifier in ecc.h models the *outcome*; this
-// codec implements the *mechanism* (encode, syndrome decode, correction),
-// and the test suite proves the two agree on every pattern they both cover.
+// The pattern-level SecDedEcc classifier in src/dram/ecc.h models the
+// *outcome*; this codec implements the *mechanism* (encode, syndrome decode,
+// correction), and the test suite proves the two agree on every pattern they
+// both cover. It is a test oracle: nothing under src/ depends on it.
 #pragma once
 
 #include <cstdint>

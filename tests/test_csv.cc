@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+
 namespace memfp {
 namespace {
 
@@ -9,11 +12,8 @@ TEST(CsvWriter, SimpleRoundTrip) {
   CsvWriter writer({"a", "b"});
   writer.add_row({"1", "2"});
   writer.add_row({"3", "4"});
-  const CsvTable table = parse_csv(writer.to_string());
-  ASSERT_EQ(table.header.size(), 2u);
-  ASSERT_EQ(table.rows.size(), 2u);
-  EXPECT_EQ(table.rows[0][0], "1");
-  EXPECT_EQ(table.rows[1][1], "4");
+  EXPECT_EQ(writer.rows(), 2u);
+  EXPECT_EQ(writer.to_string(), "a,b\n1,2\n3,4\n");
 }
 
 TEST(CsvWriter, RejectsRaggedRow) {
@@ -22,55 +22,28 @@ TEST(CsvWriter, RejectsRaggedRow) {
 }
 
 TEST(CsvWriter, QuotesSpecialCharacters) {
-  CsvWriter writer({"text"});
-  writer.add_row({"hello, \"world\"\nline2"});
-  const CsvTable table = parse_csv(writer.to_string());
-  EXPECT_EQ(table.rows[0][0], "hello, \"world\"\nline2");
-}
-
-TEST(ParseCsv, HandlesCrLf) {
-  const CsvTable table = parse_csv("a,b\r\n1,2\r\n");
-  ASSERT_EQ(table.rows.size(), 1u);
-  EXPECT_EQ(table.rows[0][1], "2");
-}
-
-TEST(ParseCsv, EmptyFields) {
-  const CsvTable table = parse_csv("a,b,c\n,,\n");
-  ASSERT_EQ(table.rows.size(), 1u);
-  EXPECT_EQ(table.rows[0][0], "");
-  EXPECT_EQ(table.rows[0][2], "");
-}
-
-TEST(ParseCsv, ThrowsOnRaggedRows) {
-  EXPECT_THROW(parse_csv("a,b\n1,2,3\n"), std::runtime_error);
-}
-
-TEST(ParseCsv, ThrowsOnUnterminatedQuote) {
-  EXPECT_THROW(parse_csv("a\n\"unterminated\n"), std::runtime_error);
-}
-
-TEST(ParseCsv, ThrowsOnEmptyInput) {
-  EXPECT_THROW(parse_csv(""), std::runtime_error);
-}
-
-TEST(CsvTable, ColumnLookup) {
-  const CsvTable table = parse_csv("x,y,z\n1,2,3\n");
-  EXPECT_EQ(table.column("y"), 1u);
-  EXPECT_THROW(table.column("missing"), std::out_of_range);
+  CsvWriter writer({"text", "plain"});
+  writer.add_row({"hello, \"world\"\nline2", "x"});
+  writer.add_row({"cr\rhere", ""});
+  // RFC 4180: a field holding a separator, quote or line break is quoted
+  // and its quotes are doubled; every other field is written bare.
+  EXPECT_EQ(writer.to_string(),
+            "text,plain\n"
+            "\"hello, \"\"world\"\"\nline2\",x\n"
+            "\"cr\rhere\",\n");
 }
 
 TEST(Csv, FileRoundTrip) {
   CsvWriter writer({"k", "v"});
   writer.add_row({"alpha", "1"});
+  writer.add_row({"be,ta", "2"});
   const std::string path = testing::TempDir() + "/memfp_test.csv";
   writer.save(path);
-  const CsvTable table = load_csv(path);
-  ASSERT_EQ(table.rows.size(), 1u);
-  EXPECT_EQ(table.rows[0][0], "alpha");
-}
-
-TEST(Csv, LoadMissingFileThrows) {
-  EXPECT_THROW(load_csv("/nonexistent/path.csv"), std::runtime_error);
+  std::ifstream file(path, std::ios::binary);
+  const std::string bytes{std::istreambuf_iterator<char>(file),
+                          std::istreambuf_iterator<char>()};
+  EXPECT_EQ(bytes, "k,v\nalpha,1\n\"be,ta\",2\n");
+  EXPECT_EQ(bytes, writer.to_string());
 }
 
 }  // namespace

@@ -35,15 +35,6 @@ TEST(Dataset, MakeDatasetDropsAmbiguousSamples) {
   EXPECT_EQ(dataset.positives(), 3u);
 }
 
-TEST(Dataset, SelectKeepsRowContent) {
-  const Dataset dataset = make_dataset(tiny_sample_set());
-  const Dataset subset = dataset.select({0, 5});
-  ASSERT_EQ(subset.size(), 2u);
-  EXPECT_EQ(subset.x.at(1, 0), dataset.x.at(5, 0));
-  EXPECT_EQ(subset.dimm[1], dataset.dimm[5]);
-  EXPECT_EQ(subset.categorical, dataset.categorical);
-}
-
 TEST(Matrix, PushRowSetsWidth) {
   Matrix m;
   m.push_row(std::vector<float>{1.0f, 2.0f, 3.0f});

@@ -541,6 +541,22 @@ TEST(LintLayering, FiresOnUnknownModule) {
             std::string::npos);
 }
 
+TEST(LintLayering, SrcNeverIncludesTestSupport) {
+  // tests/support (the Hsiao codec oracle, the test main) may depend on
+  // src/, never the reverse. Its headers are included as "support/...", so
+  // a src/ file reaching for one names a module outside the DAG.
+  const auto violations = lint_files({
+      {"src/dram/ecc.cc", "#include \"support/hsiao.h\"\n"},
+      {"tests/support/hsiao.h", "#pragma once\n#include \"dram/ecc.h\"\n"},
+      {"tests/test_hsiao.cc", "#include \"support/hsiao.h\"\n"},
+  });
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].file, "src/dram/ecc.cc");
+  EXPECT_EQ(violations[0].rule, "layering");
+  EXPECT_NE(violations[0].message.find("'support' is not a module"),
+            std::string::npos);
+}
+
 TEST(LintLayering, ReportsIncludeCyclesWithTheChain) {
   const auto violations = lint_files({
       {"src/dram/a.h", "#pragma once\n#include \"dram/b.h\"\n"},

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "mlops/alarm.h"
@@ -76,16 +77,45 @@ TEST(DataLake, RecordCountCachedAcrossIdempotentBackfill) {
   EXPECT_EQ(lake.record_count(), 1u * 2u + 2u * 5u);
 }
 
+/// Writes `fleet` as a sealed shard set of `per_shard` DIMMs per shard into
+/// a fresh `dir`, the way the fleet driver's keep_store run leaves one.
+void write_shard_set(const std::filesystem::path& dir,
+                     const sim::FleetTrace& fleet, std::size_t per_shard) {
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  for (std::size_t begin = 0, shard = 0; begin < fleet.dimms.size();
+       begin += per_shard, ++shard) {
+    sim::ShardWriter writer(sim::shard_path(dir.string(), shard),
+                            fleet.platform, fleet.horizon);
+    for (std::size_t i = begin;
+         i < std::min(fleet.dimms.size(), begin + per_shard); ++i) {
+      writer.append(fleet.dimms[i]);
+    }
+    writer.finish();
+  }
+}
+
+/// Streams a partition and checks it yields exactly `expected`'s DIMMs.
+void expect_streams(const DataLake& lake, const std::string& partition,
+                    const sim::FleetTrace& expected) {
+  std::size_t next = 0;
+  lake.for_each_dimm(partition, [&](const sim::DimmTrace& dimm) {
+    ASSERT_LT(next, expected.dimms.size());
+    EXPECT_EQ(sim::trace_content_hash(dimm),
+              sim::trace_content_hash(expected.dimms[next]));
+    ++next;
+  });
+  EXPECT_EQ(next, expected.dimms.size());
+}
+
 TEST(DataLake, SpillOnIngestRoundTrip) {
   const auto dir =
       std::filesystem::temp_directory_path() / "memfp_lake_spill_test";
-  std::filesystem::remove_all(dir);
+  const sim::FleetTrace original = tiny_fleet(5, 3);
+  write_shard_set(dir, original, 2);
 
   DataLake lake;
-  lake.set_spill_policy({dir.string(), /*max_resident_dimms=*/2,
-                         /*dimms_per_shard=*/2});
-  const sim::FleetTrace original = tiny_fleet(5, 3);
-  lake.ingest("bmc/purley/big", tiny_fleet(5, 3));
+  lake.ingest_shards("bmc/purley/big", dir.string());
 
   EXPECT_TRUE(lake.spilled("bmc/purley/big"));
   EXPECT_EQ(lake.record_count(), 15u);
@@ -96,14 +126,7 @@ TEST(DataLake, SpillOnIngestRoundTrip) {
   EXPECT_TRUE(info.spilled);
 
   // Stream-on-read sees the identical DIMM sequence...
-  std::size_t next = 0;
-  lake.for_each_dimm("bmc/purley/big", [&](const sim::DimmTrace& dimm) {
-    ASSERT_LT(next, original.dimms.size());
-    EXPECT_EQ(sim::trace_content_hash(dimm),
-              sim::trace_content_hash(original.dimms[next]));
-    ++next;
-  });
-  EXPECT_EQ(next, original.dimms.size());
+  expect_streams(lake, "bmc/purley/big", original);
 
   // ...and materialize round-trips the whole snapshot.
   const sim::FleetTrace decoded = lake.materialize("bmc/purley/big");
@@ -111,93 +134,98 @@ TEST(DataLake, SpillOnIngestRoundTrip) {
   EXPECT_EQ(decoded.horizon, original.horizon);
 
   // A small backfill replaces the spill with a resident partition, deletes
-  // the dead shard files, and prunes the emptied generation directory.
+  // the dead shard files, and prunes the emptied shard directory.
   lake.ingest("bmc/purley/big", tiny_fleet(1, 1));
   EXPECT_FALSE(lake.spilled("bmc/purley/big"));
   EXPECT_EQ(lake.record_count(), 1u);
-  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  EXPECT_FALSE(std::filesystem::exists(dir));
   std::filesystem::remove_all(dir);
 }
 
 TEST(DataLake, ReIngestSpilledPartitionWithSpill) {
-  const auto dir =
+  const auto root =
       std::filesystem::temp_directory_path() / "memfp_lake_respill_test";
-  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(root);
+  write_shard_set(root / "first", tiny_fleet(5, 3), 2);
+  const sim::FleetTrace second = tiny_fleet(6, 2);
+  write_shard_set(root / "second", second, 2);
 
   DataLake lake;
-  lake.set_spill_policy({dir.string(), /*max_resident_dimms=*/2,
-                         /*dimms_per_shard=*/2});
-  lake.ingest("p", tiny_fleet(5, 3));
+  lake.ingest_shards("p", (root / "first").string());
   ASSERT_TRUE(lake.spilled("p"));
 
-  // Idempotent backfill of a live spill: the replacement generation must
-  // survive the deletion of the old generation's shard files (the two must
-  // never share paths).
-  const sim::FleetTrace second = tiny_fleet(6, 2);
-  lake.ingest("p", tiny_fleet(6, 2));
+  // Idempotent backfill of a live spill with a new shard set: the old set's
+  // files go, the replacement's stay.
+  lake.ingest_shards("p", (root / "second").string());
   EXPECT_TRUE(lake.spilled("p"));
   EXPECT_EQ(lake.record_count(), 12u);
-  std::size_t next = 0;
-  lake.for_each_dimm("p", [&](const sim::DimmTrace& dimm) {
-    ASSERT_LT(next, second.dimms.size());
-    EXPECT_EQ(sim::trace_content_hash(dimm),
-              sim::trace_content_hash(second.dimms[next]));
-    ++next;
-  });
-  EXPECT_EQ(next, second.dimms.size());
+  EXPECT_FALSE(std::filesystem::exists(root / "first"));
+  expect_streams(lake, "p", second);
   EXPECT_EQ(lake.materialize("p").dimms.size(), 6u);
-  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(root);
 }
 
 TEST(DataLake, SpillDirsCollisionFreeAcrossPartitions) {
-  const auto dir =
+  const auto root =
       std::filesystem::temp_directory_path() / "memfp_lake_collide_test";
-  std::filesystem::remove_all(dir);
-
-  // "a/b" and "a_b" sanitize to the same leaf; their spills must not share
-  // shard files (neither overwriting on ingest nor deleting on replace).
-  DataLake lake;
-  lake.set_spill_policy({dir.string(), /*max_resident_dimms=*/0,
-                         /*dimms_per_shard=*/2});
+  std::filesystem::remove_all(root);
   const sim::FleetTrace slash = tiny_fleet(3, 2);
   const sim::FleetTrace underscore = tiny_fleet(3, 5);
-  lake.ingest("a/b", tiny_fleet(3, 2));
-  lake.ingest("a_b", tiny_fleet(3, 5));
+  write_shard_set(root / "slash", slash, 2);
+  write_shard_set(root / "underscore", underscore, 2);
 
-  std::size_t next = 0;
-  lake.for_each_dimm("a/b", [&](const sim::DimmTrace& dimm) {
-    ASSERT_LT(next, slash.dimms.size());
-    EXPECT_EQ(sim::trace_content_hash(dimm),
-              sim::trace_content_hash(slash.dimms[next]));
-    ++next;
-  });
-  EXPECT_EQ(next, slash.dimms.size());
+  DataLake lake;
+  lake.ingest_shards("a/b", (root / "slash").string());
+  lake.ingest_shards("a_b", (root / "underscore").string());
+  expect_streams(lake, "a/b", slash);
 
   // Replacing one partition must leave the other's files intact.
   lake.ingest("a/b", tiny_fleet(4, 1));
-  next = 0;
-  lake.for_each_dimm("a_b", [&](const sim::DimmTrace& dimm) {
-    ASSERT_LT(next, underscore.dimms.size());
-    EXPECT_EQ(sim::trace_content_hash(dimm),
-              sim::trace_content_hash(underscore.dimms[next]));
-    ++next;
-  });
-  EXPECT_EQ(next, underscore.dimms.size());
+  EXPECT_FALSE(std::filesystem::exists(root / "slash"));
+  expect_streams(lake, "a_b", underscore);
+  std::filesystem::remove_all(root);
+}
+
+TEST(DataLake, AdoptSameShardSetTwiceKeepsFiles) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "memfp_lake_readopt_test";
+  const sim::FleetTrace fleet = tiny_fleet(5, 3);
+  write_shard_set(dir, fleet, 2);
+
+  DataLake lake;
+  lake.ingest_shards("p", dir.string());
+  // Idempotent backfill of the very same shard set, also through another
+  // spelling of its directory: the adopted files are live, not dead.
+  lake.ingest_shards("p", dir.string());
+  lake.ingest_shards("p", dir.string() + "/.");
+  ASSERT_TRUE(std::filesystem::exists(dir));
+  ASSERT_EQ(sim::list_shards(dir.string()).size(), 3u);
+  EXPECT_TRUE(lake.spilled("p"));
+  EXPECT_EQ(lake.record_count(), 15u);
+  expect_streams(lake, "p", fleet);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DataLake, AdoptingAnotherPartitionsShardsThrows) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "memfp_lake_owned_test";
+  const sim::FleetTrace fleet = tiny_fleet(4, 2);
+  write_shard_set(dir, fleet, 2);
+
+  DataLake lake;
+  lake.ingest_shards("a", dir.string());
+  EXPECT_THROW(lake.ingest_shards("b", dir.string()), std::invalid_argument);
+  EXPECT_FALSE(lake.contains("b"));
+  EXPECT_EQ(lake.record_count(), 8u);
+  // The owner is untouched.
+  expect_streams(lake, "a", fleet);
   std::filesystem::remove_all(dir);
 }
 
 TEST(DataLake, AdoptExistingShardSet) {
   const auto dir =
       std::filesystem::temp_directory_path() / "memfp_lake_adopt_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const sim::FleetTrace fleet = tiny_fleet(4, 2);
-  {
-    sim::ShardWriter writer(sim::shard_path(dir.string(), 0),
-                            fleet.platform, fleet.horizon);
-    for (const sim::DimmTrace& dimm : fleet.dimms) writer.append(dimm);
-    writer.finish();
-  }
+  write_shard_set(dir, tiny_fleet(4, 2), 4);
   DataLake lake;
   lake.ingest_shards("adopted", dir.string());
   EXPECT_TRUE(lake.spilled("adopted"));

@@ -7,101 +7,6 @@
 namespace memfp {
 namespace {
 
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats stats;
-  EXPECT_EQ(stats.count(), 0u);
-  EXPECT_EQ(stats.mean(), 0.0);
-  EXPECT_EQ(stats.variance(), 0.0);
-  EXPECT_EQ(stats.min(), 0.0);
-  EXPECT_EQ(stats.max(), 0.0);
-}
-
-TEST(RunningStats, MatchesDirectComputation) {
-  RunningStats stats;
-  const std::vector<double> values{1.0, 2.0, 4.0, 8.0, 16.0};
-  for (double v : values) stats.add(v);
-  EXPECT_EQ(stats.count(), 5u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 6.2);
-  EXPECT_DOUBLE_EQ(stats.sum(), 31.0);
-  EXPECT_EQ(stats.min(), 1.0);
-  EXPECT_EQ(stats.max(), 16.0);
-  // Sample variance with n-1 denominator.
-  double m2 = 0.0;
-  for (double v : values) m2 += (v - 6.2) * (v - 6.2);
-  EXPECT_NEAR(stats.variance(), m2 / 4.0, 1e-12);
-}
-
-TEST(RunningStats, SingleValueHasZeroVariance) {
-  RunningStats stats;
-  stats.add(3.0);
-  EXPECT_EQ(stats.variance(), 0.0);
-  EXPECT_EQ(stats.stddev(), 0.0);
-}
-
-TEST(RunningStats, MergeEqualsSequential) {
-  RunningStats all, left, right;
-  for (int i = 0; i < 50; ++i) {
-    const double v = std::sin(i * 0.7) * 10;
-    all.add(v);
-    (i < 20 ? left : right).add(v);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-10);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-10);
-  EXPECT_EQ(left.min(), all.min());
-  EXPECT_EQ(left.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmptyIsIdentity) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  const double mean = a.mean();
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.mean(), mean);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_EQ(empty.mean(), mean);
-}
-
-TEST(Percentile, Median) {
-  EXPECT_DOUBLE_EQ(percentile({3.0, 1.0, 2.0}, 0.5), 2.0);
-}
-
-TEST(Percentile, Interpolates) {
-  EXPECT_DOUBLE_EQ(percentile({0.0, 10.0}, 0.25), 2.5);
-}
-
-TEST(Percentile, Extremes) {
-  const std::vector<double> v{5.0, 1.0, 9.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 1.0), 9.0);
-}
-
-TEST(Percentile, EmptyIsZero) { EXPECT_EQ(percentile({}, 0.5), 0.0); }
-
-TEST(Pearson, PerfectCorrelation) {
-  const std::vector<double> x{1, 2, 3, 4};
-  const std::vector<double> y{2, 4, 6, 8};
-  EXPECT_NEAR(pearson(x, y), 1.0, 1e-12);
-}
-
-TEST(Pearson, PerfectAnticorrelation) {
-  const std::vector<double> x{1, 2, 3, 4};
-  const std::vector<double> y{8, 6, 4, 2};
-  EXPECT_NEAR(pearson(x, y), -1.0, 1e-12);
-}
-
-TEST(Pearson, ConstantSideIsZero) {
-  EXPECT_EQ(pearson({1, 1, 1}, {1, 2, 3}), 0.0);
-}
-
-TEST(Pearson, MismatchedSizesIsZero) {
-  EXPECT_EQ(pearson({1, 2}, {1, 2, 3}), 0.0);
-}
-
 TEST(Psi, IdenticalDistributionsNearZero) {
   std::vector<double> a, b;
   for (int i = 0; i < 1000; ++i) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -347,6 +349,34 @@ TEST(ThreadPoolRng, IndexedForkStreamsAreDistinct) {
   Rng d0 = other.fork(0);
   Rng e0 = Rng(99).fork(0);
   EXPECT_NE(d0.next(), e0.next());
+}
+
+/// Sum of 0..255 computed by a 4-wide section of the global pool.
+long long four_wide_sum() {
+  ThreadPool::ScopedLimit width(4);
+  std::vector<long long> out(256, 0);
+  ThreadPool::global().parallel_for(
+      out.size(), [&out](std::size_t i) { out[i] = static_cast<long long>(i); },
+      /*grain=*/8);
+  return std::accumulate(out.begin(), out.end(), 0LL);
+}
+
+TEST(ThreadPoolDeathTest, ChildUsesPoolAfterParentStartedIt) {
+  // The parent runs a section on the global pool's workers; then the death
+  // statement runs another before dying. A bare fork taken right after a
+  // section inherits the pool's mutexes and condition variable mid-use but
+  // none of its worker threads, and can block in the section for good (at
+  // googletest's default fork style this loop hung in most runs). The test
+  // main's threadsafe style gives each child a freshly executed binary.
+  for (int round = 0; round < 40; ++round) {
+    ASSERT_EQ(four_wide_sum(), 32640);
+    EXPECT_DEATH(
+        {
+          std::fprintf(stderr, "child sum %lld\n", four_wide_sum());
+          std::abort();
+        },
+        "child sum 32640");
+  }
 }
 
 }  // namespace
