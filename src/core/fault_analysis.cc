@@ -2,11 +2,11 @@
 
 #include <algorithm>
 
+#include "features/fault_inference.h"
+
 namespace memfp::core {
 
-std::vector<FaultModeEntry> fault_mode_ue_rates(
-    const sim::FleetTrace& fleet,
-    const features::FaultThresholds& thresholds) {
+std::vector<FaultModeEntry> fault_mode_ue_rates(const sim::FleetTrace& fleet) {
   struct Bucket {
     std::size_t dimms = 0;
     std::size_t ue = 0;
@@ -15,20 +15,19 @@ std::vector<FaultModeEntry> fault_mode_ue_rates(
 
   for (const sim::DimmTrace& dimm : fleet.dimms) {
     if (dimm.ces.empty()) continue;  // sudden UEs carry no fault evidence
-    const features::InferredFaults faults =
-        features::infer_faults(dimm.ces, thresholds);
+    const features::FaultState faults = features::infer_faults(dimm.ces);
     const bool ue = dimm.has_ue();
     const auto tally = [ue](Bucket& bucket, bool present) {
       if (!present) return;
       ++bucket.dimms;
       bucket.ue += ue;
     };
-    tally(cell, faults.cell_faults > 0);
-    tally(column, faults.column_faults > 0);
-    tally(row, faults.row_faults > 0);
-    tally(bank, faults.bank_faults > 0);
-    tally(single_device, faults.single_device);
-    tally(multi_device, faults.multi_device);
+    tally(cell, faults.cell_faults() > 0);
+    tally(column, faults.column_faults() > 0);
+    tally(row, faults.row_faults() > 0);
+    tally(bank, faults.bank_faults() > 0);
+    tally(single_device, faults.single_device());
+    tally(multi_device, faults.multi_device());
   }
 
   const auto make = [](const char* name, const Bucket& bucket) {
@@ -58,17 +57,13 @@ std::vector<FaultModeEntry> fault_mode_ue_rates(
   return entries;
 }
 
-UeComposition ue_device_composition(
-    const sim::FleetTrace& fleet,
-    const features::FaultThresholds& thresholds) {
+UeComposition ue_device_composition(const sim::FleetTrace& fleet) {
   UeComposition comp;
   std::size_t single = 0, multi = 0;
   for (const sim::DimmTrace& dimm : fleet.dimms) {
     if (!dimm.has_ue() || dimm.ces.empty()) continue;
     ++comp.ue_dimms;
-    const features::InferredFaults faults =
-        features::infer_faults(dimm.ces, thresholds);
-    if (faults.multi_device) ++multi;
+    if (features::infer_faults(dimm.ces).multi_device()) ++multi;
     else ++single;
   }
   if (comp.ue_dimms > 0) {
@@ -151,22 +146,20 @@ const char* fault_class_name(FaultClass fault_class) {
   return "?";
 }
 
-FaultClass dominant_fault_class(const sim::DimmTrace& trace,
-                                const features::FaultThresholds& thresholds) {
+FaultClass dominant_fault_class(const sim::DimmTrace& trace) {
   if (trace.ces.empty()) {
     return trace.has_ue() ? FaultClass::kSudden : FaultClass::kNone;
   }
-  const features::InferredFaults faults =
-      features::infer_faults(trace.ces, thresholds);
-  if (faults.multi_device) return FaultClass::kMultiDevice;
-  if (faults.bank_faults > 0) return FaultClass::kBank;
+  const features::FaultState faults = features::infer_faults(trace.ces);
+  if (faults.multi_device()) return FaultClass::kMultiDevice;
+  if (faults.bank_faults() > 0) return FaultClass::kBank;
   // Row vs column ties break toward the mode with more inferred instances;
   // equality keeps row (the mode field studies report as more UE-prone).
-  if (faults.row_faults > 0 || faults.column_faults > 0) {
-    return faults.row_faults >= faults.column_faults ? FaultClass::kRow
-                                                     : FaultClass::kColumn;
+  if (faults.row_faults() > 0 || faults.column_faults() > 0) {
+    return faults.row_faults() >= faults.column_faults() ? FaultClass::kRow
+                                                         : FaultClass::kColumn;
   }
-  if (faults.cell_faults > 0) return FaultClass::kCell;
+  if (faults.cell_faults() > 0) return FaultClass::kCell;
   return FaultClass::kNone;
 }
 

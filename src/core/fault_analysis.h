@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/evaluation.h"
-#include "features/fault_inference.h"
 #include "features/windows.h"
 #include "sim/trace.h"
 
@@ -24,9 +23,7 @@ struct FaultModeEntry {
 
 /// Fig 4 for one platform fleet. Categories: cell / column / row / bank
 /// faults, single-device, multi-device.
-std::vector<FaultModeEntry> fault_mode_ue_rates(
-    const sim::FleetTrace& fleet,
-    const features::FaultThresholds& thresholds = {});
+std::vector<FaultModeEntry> fault_mode_ue_rates(const sim::FleetTrace& fleet);
 
 /// Composition of the UE population: among DIMMs that reached a UE (with CE
 /// history), the share whose fault evidence is single- vs multi-device.
@@ -36,9 +33,7 @@ struct UeComposition {
   double single_device_share = 0.0;
   double multi_device_share = 0.0;
 };
-UeComposition ue_device_composition(
-    const sim::FleetTrace& fleet,
-    const features::FaultThresholds& thresholds = {});
+UeComposition ue_device_composition(const sim::FleetTrace& fleet);
 
 struct BitStatSeries {
   std::string stat;  ///< "error DQs" / "error beats" / "DQ interval" / "beat interval"
@@ -81,9 +76,7 @@ inline constexpr std::size_t kFaultClassCount = 7;
 const char* fault_class_name(FaultClass fault_class);
 
 /// Classifies one DIMM trace (see FaultClass precedence).
-FaultClass dominant_fault_class(
-    const sim::DimmTrace& trace,
-    const features::FaultThresholds& thresholds = {});
+FaultClass dominant_fault_class(const sim::DimmTrace& trace);
 
 /// One row of a campaign's root-cause table: how a predictor+policy treated
 /// the evaluated DIMMs of one fault class.

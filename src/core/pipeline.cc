@@ -9,6 +9,7 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "core/platform_profile.h"
 #include "ml/ft_transformer.h"
 #include "ml/gbdt.h"
 #include "ml/random_forest.h"
@@ -244,7 +245,7 @@ Experiment::run_with_model(Algorithm algorithm) {
 Experiment::Result Experiment::run_risky_baseline() {
   Result result;
   result.algorithm = algorithm_name(Algorithm::kRiskyCePattern);
-  if (fleet_->platform != dram::Platform::kIntelPurley) {
+  if (!profile_for(fleet_->platform).risky_ce_baseline_applicable) {
     // The published rules target the Purley ECC generation only.
     result.applicable = false;
     return result;

@@ -5,11 +5,8 @@
 
 namespace memfp::features {
 
-FeatureExtractor::FeatureExtractor(PredictionWindows windows,
-                                   FaultThresholds thresholds)
-    : schema_(FeatureSchema::standard()),
-      windows_(windows),
-      thresholds_(thresholds) {}
+FeatureExtractor::FeatureExtractor(PredictionWindows windows)
+    : schema_(FeatureSchema::standard()), windows_(windows) {}
 
 std::vector<Sample> FeatureExtractor::extract(const sim::DimmTrace& trace,
                                               SimTime horizon) const {
@@ -20,8 +17,8 @@ std::vector<Sample> FeatureExtractor::extract(const sim::DimmTrace& trace,
   const SimTime end =
       trace.ue ? std::min(horizon, trace.ue->time - 1) : horizon;
 
-  OnlineExtractorState state(windows_, thresholds_, trace.config,
-                             trace.workload, schema_.size());
+  OnlineExtractorState state(windows_, trace.config, trace.workload,
+                             schema_.size());
   std::size_t next_ce = 0;
   std::size_t next_event = 0;
   std::vector<float> features;
@@ -68,8 +65,7 @@ std::vector<float> FeatureExtractor::features_at(const sim::DimmTrace& trace,
 
 OnlineExtractorState FeatureExtractor::open_stream(
     const dram::DimmConfig& config, const sim::WorkloadStats& workload) const {
-  return OnlineExtractorState(windows_, thresholds_, config, workload,
-                              schema_.size());
+  return OnlineExtractorState(windows_, config, workload, schema_.size());
 }
 
 }  // namespace memfp::features

@@ -14,7 +14,6 @@
 // carry that information instead.
 #pragma once
 
-#include "features/fault_inference.h"
 #include "features/sample.h"
 #include "features/schema.h"
 #include "features/window_state.h"
@@ -25,8 +24,7 @@ namespace memfp::features {
 
 class FeatureExtractor {
  public:
-  explicit FeatureExtractor(PredictionWindows windows = {},
-                            FaultThresholds thresholds = {});
+  explicit FeatureExtractor(PredictionWindows windows = {});
 
   const FeatureSchema& schema() const { return schema_; }
   const PredictionWindows& windows() const { return windows_; }
@@ -53,7 +51,6 @@ class FeatureExtractor {
  private:
   FeatureSchema schema_;
   PredictionWindows windows_;
-  FaultThresholds thresholds_;
 };
 
 }  // namespace memfp::features

@@ -1,94 +1,61 @@
 #include "features/fault_inference.h"
 
-#include <unordered_map>
-#include <unordered_set>
+#include "common/check.h"
 
 namespace memfp::features {
-namespace {
 
-/// Packs (rank, device, bank, row[, column]) into hashable keys.
-std::uint64_t cell_key(const dram::CellCoord& c) {
-  return (static_cast<std::uint64_t>(c.rank) << 56) |
-         (static_cast<std::uint64_t>(c.device & 0xff) << 48) |
-         (static_cast<std::uint64_t>(c.bank & 0xff) << 40) |
-         (static_cast<std::uint64_t>(c.row & 0xffffff) << 16) |
-         static_cast<std::uint64_t>(c.column & 0xffff);
-}
+// A count reaches a threshold on the increment that makes them equal, so a
+// threshold below 1 would never trip. BoundedDistinct::insert asserts the
+// same for the four distinct-set thresholds.
+static_assert(kFaultThresholds.cell_repeat >= 1 &&
+              kFaultThresholds.device_min_ces >= 1);
 
-std::uint64_t row_key(const dram::CellCoord& c) {
-  return cell_key(c) >> 16;
-}
+void FaultState::add(const dram::CellCoord& c) {
+  MEMFP_CHECK(packs_losslessly(c)) << "cell coordinate outside the packed key";
+  const std::uint64_t cell = pack_cell(c);
+  const int sightings = ++cell_counts_[cell];
+  if (sightings == kFaultThresholds.cell_repeat) ++cell_faults_;
 
-std::uint64_t column_key(const dram::CellCoord& c) {
-  return (static_cast<std::uint64_t>(c.rank) << 56) |
-         (static_cast<std::uint64_t>(c.device & 0xff) << 48) |
-         (static_cast<std::uint64_t>(c.bank & 0xff) << 40) |
-         static_cast<std::uint64_t>(c.column & 0xffff);
-}
+  // Only a cell's first sighting can grow the row, column and bank sets: a
+  // repeat carries the same row and column (the key is lossless), which its
+  // first sighting either recorded or found saturated, and a saturated set
+  // stays saturated. A repeat would insert nothing and re-test a bank
+  // condition whose inputs did not move.
+  if (sightings == 1) {
+    BoundedDistinct& row_cols = row_columns_[cell >> 16];
+    if (row_cols.insert<kFaultThresholds.row_columns>(c.column) &&
+        row_cols.size() == kFaultThresholds.row_columns) {
+      ++row_faults_;
+    }
 
-std::uint64_t bank_key(const dram::CellCoord& c) {
-  return (static_cast<std::uint64_t>(c.rank) << 56) |
-         (static_cast<std::uint64_t>(c.device & 0xff) << 48) |
-         (static_cast<std::uint64_t>(c.bank & 0xff) << 40);
-}
+    BoundedDistinct& col_rows =
+        column_rows_[(cell & 0xffffff000000ffffULL) | 0xff0000ULL];
+    if (col_rows.insert<kFaultThresholds.column_rows>(c.row) &&
+        col_rows.size() == kFaultThresholds.column_rows) {
+      ++column_faults_;
+    }
 
-}  // namespace
-
-InferredFaults infer_faults(std::span<const dram::CeEvent> ces,
-                            const FaultThresholds& thresholds) {
-  std::unordered_map<std::uint64_t, int> cell_counts;
-  std::unordered_map<std::uint64_t, std::unordered_set<int>> row_columns;
-  std::unordered_map<std::uint64_t, std::unordered_set<int>> column_rows;
-  std::unordered_map<std::uint64_t, std::unordered_set<int>> bank_rows;
-  std::unordered_map<std::uint64_t, std::unordered_set<int>> bank_columns;
-  std::unordered_map<int, int> device_counts;
-
-  for (const dram::CeEvent& ce : ces) {
-    const dram::CellCoord& c = ce.coord;
-    ++cell_counts[cell_key(c)];
-    row_columns[row_key(c)].insert(c.column);
-    column_rows[column_key(c)].insert(c.row);
-    bank_rows[bank_key(c)].insert(c.row);
-    bank_columns[bank_key(c)].insert(c.column);
-    ++device_counts[(c.rank << 8) | c.device];
-  }
-
-  InferredFaults result;
-  // Every loop below only counts buckets that clear a threshold — a pure
-  // order-independent reduction, so hash iteration order cannot leak into
-  // the inferred fault counts.
-  // memfp-lint: allow(unordered-iter): order-independent count reduction
-  for (const auto& [key, count] : cell_counts) {
-    if (count >= thresholds.cell_repeat) ++result.cell_faults;
-  }
-  // memfp-lint: allow(unordered-iter): order-independent count reduction
-  for (const auto& [key, columns] : row_columns) {
-    if (static_cast<int>(columns.size()) >= thresholds.row_columns) {
-      ++result.row_faults;
+    BankState& bank_state = banks_[cell >> 40];
+    bank_state.rows.insert<kFaultThresholds.bank_rows>(c.row);
+    bank_state.columns.insert<kFaultThresholds.bank_columns>(c.column);
+    if (!bank_state.counted &&
+        bank_state.rows.size() >= kFaultThresholds.bank_rows &&
+        bank_state.columns.size() >= kFaultThresholds.bank_columns) {
+      bank_state.counted = true;
+      ++bank_faults_;
     }
   }
-  // memfp-lint: allow(unordered-iter): order-independent count reduction
-  for (const auto& [key, rows] : column_rows) {
-    if (static_cast<int>(rows.size()) >= thresholds.column_rows) {
-      ++result.column_faults;
-    }
+
+  if (++device_counts_[static_cast<std::uint64_t>((c.rank << 8) | c.device)] ==
+      kFaultThresholds.device_min_ces) {
+    ++faulty_devices_;
   }
-  // memfp-lint: allow(unordered-iter): order-independent count reduction
-  for (const auto& [key, rows] : bank_rows) {
-    const auto cols = bank_columns.find(key);
-    if (static_cast<int>(rows.size()) >= thresholds.bank_rows &&
-        cols != bank_columns.end() &&
-        static_cast<int>(cols->second.size()) >= thresholds.bank_columns) {
-      ++result.bank_faults;
-    }
-  }
-  // memfp-lint: allow(unordered-iter): order-independent count reduction
-  for (const auto& [device, count] : device_counts) {
-    if (count >= thresholds.device_min_ces) ++result.faulty_devices;
-  }
-  result.single_device = result.faulty_devices == 1;
-  result.multi_device = result.faulty_devices >= 2;
-  return result;
+}
+
+FaultState infer_faults(std::span<const dram::CeEvent> ces) {
+  FaultState state;
+  for (const dram::CeEvent& ce : ces) state.add(ce.coord);
+  return state;
 }
 
 }  // namespace memfp::features

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "dram/ecc.h"
 
 namespace memfp::features {
 namespace {
@@ -124,11 +125,11 @@ void LifetimePatternState::add(const dram::ErrorPattern& pattern) {
         device_beat_mask_[static_cast<std::size_t>(device)];
     dq_mask |= 1u << lane;
     beat_mask |= 1u << beat;
-    if (!purley_risky_ && std::popcount(dq_mask) >= 2 &&
-        std::popcount(beat_mask) >= 2) {
+    if (!purley_risky_ && std::popcount(dq_mask) >= dram::PurleyEcc::kMinDq &&
+        std::popcount(beat_mask) >= dram::PurleyEcc::kMinBeats) {
       const int beat_span =
           std::bit_width(beat_mask) - 1 - std::countr_zero(beat_mask);
-      if (beat_span >= 4) purley_risky_ = true;
+      if (beat_span >= dram::PurleyEcc::kMinBeatSpan) purley_risky_ = true;
     }
   }
 }
@@ -145,66 +146,6 @@ AxisStats LifetimePatternState::dq_stats() const {
 AxisStats LifetimePatternState::beat_stats() const {
   dq_stats();  // refresh both caches
   return beat_stats_;
-}
-
-// ---- LifetimeState ----------------------------------------------------------
-
-LifetimeState::LifetimeState(const FaultThresholds& thresholds,
-                             const dram::Geometry& geometry)
-    : thresholds_(thresholds), pattern_(geometry) {
-  MEMFP_CHECK(thresholds.row_columns <= BoundedDistinct::kMaxCap &&
-              thresholds.column_rows <= BoundedDistinct::kMaxCap &&
-              thresholds.bank_rows <= BoundedDistinct::kMaxCap &&
-              thresholds.bank_columns <= BoundedDistinct::kMaxCap)
-      << "fault threshold above BoundedDistinct::kMaxCap";
-}
-
-void LifetimeState::add(const dram::CeEvent& ce) {
-  const dram::CellCoord& c = ce.coord;
-  MEMFP_CHECK(packs_losslessly(c)) << "cell coordinate outside the packed key";
-  const std::uint64_t cell = pack_cell(c);
-  const int sightings = ++cell_counts_[cell];
-  if (sightings == thresholds_.cell_repeat) ++cell_faults_;
-
-  // Only a cell's first sighting can grow the row, column and bank sets: a
-  // repeat carries the same row and column (the key is lossless), which its
-  // first sighting either recorded or found saturated, and a saturated set
-  // stays saturated. A repeat would insert nothing and re-test a bank
-  // condition whose inputs did not move.
-  if (sightings == 1) {
-    BoundedDistinct& row_cols = row_columns_[cell >> 16];
-    if (row_cols.insert(c.column, thresholds_.row_columns) &&
-        row_cols.size() == thresholds_.row_columns) {
-      ++row_faults_;
-    }
-
-    BoundedDistinct& col_rows =
-        column_rows_[(cell & 0xffffff000000ffffULL) | 0xff0000ULL];
-    if (col_rows.insert(c.row, thresholds_.column_rows) &&
-        col_rows.size() == thresholds_.column_rows) {
-      ++column_faults_;
-    }
-
-    BankState& bank_state = banks_[cell >> 40];
-    bank_state.rows.insert(c.row, thresholds_.bank_rows);
-    bank_state.columns.insert(c.column, thresholds_.bank_columns);
-    if (!bank_state.counted &&
-        bank_state.rows.size() >= thresholds_.bank_rows &&
-        bank_state.columns.size() >= thresholds_.bank_columns) {
-      bank_state.counted = true;
-      ++bank_faults_;
-    }
-  }
-
-  if (++device_counts_[static_cast<std::uint64_t>((c.rank << 8) | c.device)] ==
-      thresholds_.device_min_ces) {
-    ++faulty_devices_;
-  }
-
-  pattern_.add(ce.pattern);
-  if (first_ce_ < 0) first_ce_ = ce.time;
-  last_ce_ = ce.time;
-  ++total_ces_;
 }
 
 // ---- WindowState ------------------------------------------------------------
@@ -371,7 +312,6 @@ int WindowState::max_ce_beat_count() {
 // ---- OnlineExtractorState ---------------------------------------------------
 
 OnlineExtractorState::OnlineExtractorState(const PredictionWindows& windows,
-                                           const FaultThresholds& thresholds,
                                            const dram::DimmConfig& config,
                                            const sim::WorkloadStats& workload,
                                            std::size_t feature_count)
@@ -379,7 +319,7 @@ OnlineExtractorState::OnlineExtractorState(const PredictionWindows& windows,
       config_(config),
       workload_(workload),
       feature_count_(feature_count),
-      lifetime_(thresholds, config.geometry()),
+      lifetime_(config.geometry()),
       window_(windows, config.geometry()) {}
 
 void OnlineExtractorState::observe_ce(const dram::CeEvent& ce) {
@@ -483,6 +423,7 @@ void OnlineExtractorState::emit(SimTime t, std::vector<float>& f) {
   f[k++] = static_cast<float>(window_.active_days());
 
   // ---- Spatial (window structure + lifetime fault inference) ----
+  const FaultState& faults = lifetime_.faults();
   const int dominant = window_.dominant_device_ces();
   const int max_row = window_.max_row_ces();
   f[k++] = log1pf_clamped(static_cast<double>(window_.distinct_cells()));
@@ -490,17 +431,17 @@ void OnlineExtractorState::emit(SimTime t, std::vector<float>& f) {
   f[k++] = log1pf_clamped(static_cast<double>(window_.distinct_columns()));
   f[k++] = log1pf_clamped(static_cast<double>(window_.distinct_banks()));
   f[k++] = static_cast<float>(window_.distinct_devices());
-  f[k++] = static_cast<float>(lifetime_.devices_seen());
+  f[k++] = static_cast<float>(faults.devices_seen());
   f[k++] = static_cast<float>(window_size > 0
                                   ? static_cast<double>(dominant) /
                                         static_cast<double>(window_size)
                                   : 0.0);
-  f[k++] = log1pf_clamped(lifetime_.cell_faults());
-  f[k++] = log1pf_clamped(lifetime_.row_faults());
-  f[k++] = log1pf_clamped(lifetime_.column_faults());
-  f[k++] = log1pf_clamped(lifetime_.bank_faults());
-  f[k++] = lifetime_.faulty_devices() >= 2 ? 1.0f : 0.0f;
-  f[k++] = lifetime_.faulty_devices() == 1 ? 1.0f : 0.0f;
+  f[k++] = log1pf_clamped(faults.cell_faults());
+  f[k++] = log1pf_clamped(faults.row_faults());
+  f[k++] = log1pf_clamped(faults.column_faults());
+  f[k++] = log1pf_clamped(faults.bank_faults());
+  f[k++] = faults.multi_device() ? 1.0f : 0.0f;
+  f[k++] = faults.single_device() ? 1.0f : 0.0f;
   f[k++] = log1pf_clamped(max_row);
 
   // ---- Bit-level ----

@@ -30,18 +30,18 @@
 // The window keeps its CEs in three FIFO rings in the same order: the times
 // (all that eviction, the sub-window cursors and the interarrival refold
 // read), a compact eviction record per CE, and the error bits of every CE
-// back to back. Aggregates live in open-addressing FlatMap64s, and the
-// lifetime fault thresholds use capped distinct-sets (exact because a
-// threshold comparison goes dead once its set saturates) that are touched
-// only on a cell's first sighting.
+// back to back. Aggregates live in open-addressing FlatMap64s.
 //
-// OnlineExtractorState composes these with the lifetime fault state into the
+// The lifetime half needs no eviction: LifetimeState folds each CE into the
+// FaultState of fault_inference.h (the one fault-mode inference, which Fig 4
+// and the campaign's attribution fold too) and into a monotone bit map.
+//
+// OnlineExtractorState composes these with the lifetime state into the
 // streaming serving engine: a per-DIMM object that consumes appended CE /
 // memory events and answers features_at(t) for non-decreasing t with no
 // trace copy and no extractor reconstruction.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <span>
@@ -57,27 +57,6 @@
 #include "sim/trace.h"
 
 namespace memfp::features {
-
-/// Packed cell address used as the spatial hierarchy key: rank | device |
-/// bank | row | column, with shifts chosen so prefixes identify the row
-/// (>> 16), bank (>> 40) and device (>> 48) levels.
-inline std::uint64_t pack_cell(const dram::CellCoord& c) {
-  return (static_cast<std::uint64_t>(c.rank) << 56) |
-         (static_cast<std::uint64_t>(c.device & 0xff) << 48) |
-         (static_cast<std::uint64_t>(c.bank & 0xff) << 40) |
-         (static_cast<std::uint64_t>(c.row & 0xffffff) << 16) |
-         static_cast<std::uint64_t>(c.column & 0xffff);
-}
-
-/// Whether pack_cell keeps every field of `c` whole, so equal keys mean
-/// equal coordinates.
-inline bool packs_losslessly(const dram::CellCoord& c) {
-  return static_cast<unsigned>(c.rank) < (1u << 8) &&
-         static_cast<unsigned>(c.device) < (1u << 8) &&
-         static_cast<unsigned>(c.bank) < (1u << 8) &&
-         static_cast<unsigned>(c.row) < (1u << 24) &&
-         static_cast<unsigned>(c.column) < (1u << 16);
-}
 
 /// Sliding multiset of keys: O(1) increment/decrement and distinct-key
 /// count. Both updates return the key's new multiplicity, so callers can
@@ -105,34 +84,6 @@ class SlidingMaxCountMap {
   SlidingCountMap counts_;
   std::vector<std::int64_t> freq_;  // freq_[c] = #keys with multiplicity c
   int max_ = 0;
-};
-
-/// Exact distinct-value counter up to a per-threshold cap, saturating after.
-/// The lifetime fault rules only compare a set's cardinality against a fixed
-/// threshold, and every such comparison is dead once the cardinality reaches
-/// it — so values beyond the cap need not be remembered for the counts to
-/// stay exact. kMaxCap bounds the supported thresholds (checked at
-/// LifetimeState construction).
-class BoundedDistinct {
- public:
-  static constexpr int kMaxCap = 8;
-
-  /// Records `value` if unseen and below `cap`; returns whether it was newly
-  /// recorded. Once saturated at `cap` every insert reports false — exactly
-  /// when the threshold conditions reading it can no longer change.
-  bool insert(int value, int cap) {
-    if (n_ >= cap) return false;
-    for (int i = 0; i < n_; ++i) {
-      if (seen_[static_cast<std::size_t>(i)] == value) return false;
-    }
-    seen_[static_cast<std::size_t>(n_++)] = value;
-    return true;
-  }
-  int size() const { return n_; }
-
- private:
-  std::int32_t n_ = 0;
-  std::array<std::int32_t, kMaxCap> seen_{};
 };
 
 /// Distinct count / interval statistics of one pattern axis (DQ lanes or
@@ -225,8 +176,9 @@ class LifetimePatternState {
   int bit_count() const { return bit_count_; }
   AxisStats dq_stats() const;
   AxisStats beat_stats() const;
-  /// Any single device accumulated >= 2 DQs, >= 2 beats, beat span >= 4 —
-  /// the Purley single-chip risky shape.
+  /// Any single device accumulated the shape dram::PurleyEcc cannot correct
+  /// (>= kMinDq DQs, >= kMinBeats beats, beat span >= kMinBeatSpan) — the
+  /// Purley single-chip risky shape.
   bool purley_risky() const { return purley_risky_; }
 
  private:
@@ -244,46 +196,29 @@ class LifetimePatternState {
   mutable AxisStats beat_stats_;
 };
 
-/// Lifetime fault structure, updated one CE at a time. Mirrors
-/// infer_faults() but amortized across the trace walk.
+/// Lifetime (append-only) state of one DIMM's CE stream: the inferred fault
+/// structure (the FaultState Fig 4 and the campaign's attribution also fold),
+/// the merged error-bit map and the first/last CE times.
 class LifetimeState {
  public:
-  LifetimeState(const FaultThresholds& thresholds,
-                const dram::Geometry& geometry);
+  explicit LifetimeState(const dram::Geometry& geometry) : pattern_(geometry) {}
 
-  void add(const dram::CeEvent& ce);
+  void add(const dram::CeEvent& ce) {
+    faults_.add(ce.coord);
+    pattern_.add(ce.pattern);
+    if (first_ce_ < 0) first_ce_ = ce.time;
+    last_ce_ = ce.time;
+    ++total_ces_;
+  }
 
-  int cell_faults() const { return cell_faults_; }
-  int row_faults() const { return row_faults_; }
-  int column_faults() const { return column_faults_; }
-  int bank_faults() const { return bank_faults_; }
-  int faulty_devices() const { return faulty_devices_; }
-  /// Every seen device has a count entry (counts are incremented on first
-  /// sight), so the count map doubles as the seen-device set.
-  int devices_seen() const { return static_cast<int>(device_counts_.size()); }
+  const FaultState& faults() const { return faults_; }
   const LifetimePatternState& pattern() const { return pattern_; }
   SimTime first_ce() const { return first_ce_; }
   SimTime last_ce() const { return last_ce_; }
   std::uint64_t total_ces() const { return total_ces_; }
 
  private:
-  struct BankState {
-    BoundedDistinct rows;
-    BoundedDistinct columns;
-    bool counted = false;
-  };
-
-  FaultThresholds thresholds_;
-  int cell_faults_ = 0;
-  int row_faults_ = 0;
-  int column_faults_ = 0;
-  int bank_faults_ = 0;
-  int faulty_devices_ = 0;
-  FlatMap64<int> cell_counts_;
-  FlatMap64<BoundedDistinct> row_columns_;
-  FlatMap64<BoundedDistinct> column_rows_;
-  FlatMap64<BankState> banks_;
-  FlatMap64<int> device_counts_;
+  FaultState faults_;
   LifetimePatternState pattern_;
   SimTime first_ce_ = -1;
   SimTime last_ce_ = -1;
@@ -405,7 +340,6 @@ class WindowState {
 class OnlineExtractorState {
  public:
   OnlineExtractorState(const PredictionWindows& windows,
-                       const FaultThresholds& thresholds,
                        const dram::DimmConfig& config,
                        const sim::WorkloadStats& workload,
                        std::size_t feature_count);

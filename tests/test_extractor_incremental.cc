@@ -21,115 +21,23 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "features/extractor.h"
+#include "support/naive_lifetime.h"
 
 namespace memfp::features {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Retained naive reference (pre-incremental extractor, verbatim).
+// Retained naive reference (pre-incremental extractor, verbatim). Its
+// lifetime fault state is NaiveLifetimeState (support/naive_lifetime.h),
+// which test_fault_inference.cc also checks FaultState against.
 // ---------------------------------------------------------------------------
 
 float log1pf_clamped(double value) {
   return static_cast<float>(std::log1p(std::max(0.0, value)));
 }
 
-std::uint64_t naive_pack_cell(const dram::CellCoord& c) {
-  return (static_cast<std::uint64_t>(c.rank) << 56) |
-         (static_cast<std::uint64_t>(c.device & 0xff) << 48) |
-         (static_cast<std::uint64_t>(c.bank & 0xff) << 40) |
-         (static_cast<std::uint64_t>(c.row & 0xffffff) << 16) |
-         static_cast<std::uint64_t>(c.column & 0xffff);
-}
-
-/// Lifetime fault structure of the naive extractor, updated one CE at a time.
-class NaiveLifetimeState {
- public:
-  explicit NaiveLifetimeState(const FaultThresholds& thresholds)
-      : thresholds_(thresholds) {}
-
-  void add(const dram::CeEvent& ce) {
-    const dram::CellCoord& c = ce.coord;
-    const std::uint64_t cell = naive_pack_cell(c);
-    if (++cell_counts_[cell] == thresholds_.cell_repeat) ++cell_faults_;
-
-    const std::uint64_t row = cell >> 16;
-    auto& row_cols = row_columns_[row];
-    if (row_cols.insert(c.column).second &&
-        static_cast<int>(row_cols.size()) == thresholds_.row_columns) {
-      ++row_faults_;
-    }
-
-    const std::uint64_t col =
-        (cell & 0xffffff000000ffffULL) | 0xff0000ULL;  // row wildcarded
-    auto& col_rows = column_rows_[col];
-    if (col_rows.insert(c.row).second &&
-        static_cast<int>(col_rows.size()) == thresholds_.column_rows) {
-      ++column_faults_;
-    }
-
-    const std::uint64_t bank = cell >> 40;
-    auto& bank_state = banks_[bank];
-    bank_state.rows.insert(c.row);
-    bank_state.columns.insert(c.column);
-    if (!bank_state.counted &&
-        static_cast<int>(bank_state.rows.size()) >= thresholds_.bank_rows &&
-        static_cast<int>(bank_state.columns.size()) >=
-            thresholds_.bank_columns) {
-      bank_state.counted = true;
-      ++bank_faults_;
-    }
-
-    const int device = (c.rank << 8) | c.device;
-    if (++device_counts_[device] == thresholds_.device_min_ces) {
-      ++faulty_devices_;
-    }
-    devices_seen_.insert(device);
-
-    acc_pattern_.merge(ce.pattern);
-    if (first_ce_ < 0) first_ce_ = ce.time;
-    last_ce_ = ce.time;
-    ++total_ces_;
-  }
-
-  int cell_faults() const { return cell_faults_; }
-  int row_faults() const { return row_faults_; }
-  int column_faults() const { return column_faults_; }
-  int bank_faults() const { return bank_faults_; }
-  int faulty_devices() const { return faulty_devices_; }
-  int devices_seen() const { return static_cast<int>(devices_seen_.size()); }
-  const dram::ErrorPattern& pattern() const { return acc_pattern_; }
-  SimTime first_ce() const { return first_ce_; }
-  SimTime last_ce() const { return last_ce_; }
-  std::uint64_t total_ces() const { return total_ces_; }
-
- private:
-  struct BankState {
-    std::unordered_set<int> rows;
-    std::unordered_set<int> columns;
-    bool counted = false;
-  };
-
-  FaultThresholds thresholds_;
-  int cell_faults_ = 0;
-  int row_faults_ = 0;
-  int column_faults_ = 0;
-  int bank_faults_ = 0;
-  int faulty_devices_ = 0;
-  std::unordered_map<std::uint64_t, int> cell_counts_;
-  std::unordered_map<std::uint64_t, std::unordered_set<int>> row_columns_;
-  std::unordered_map<std::uint64_t, std::unordered_set<int>> column_rows_;
-  std::unordered_map<std::uint64_t, BankState> banks_;
-  std::unordered_map<int, int> device_counts_;
-  std::unordered_set<int> devices_seen_;
-  dram::ErrorPattern acc_pattern_;
-  SimTime first_ce_ = -1;
-  SimTime last_ce_ = -1;
-  std::uint64_t total_ces_ = 0;
-};
-
 std::vector<Sample> naive_extract(const sim::DimmTrace& trace, SimTime horizon,
                                   const PredictionWindows& windows,
-                                  const FaultThresholds& thresholds,
                                   std::size_t n_features) {
   std::vector<Sample> samples;
   if (trace.ces.empty()) return samples;
@@ -138,7 +46,7 @@ std::vector<Sample> naive_extract(const sim::DimmTrace& trace, SimTime horizon,
   const SimTime end =
       trace.ue ? std::min(horizon, trace.ue->time - 1) : horizon;
 
-  NaiveLifetimeState lifetime(thresholds);
+  NaiveLifetimeState lifetime;
   std::size_t window_begin = 0;
   std::size_t consumed = 0;
   std::size_t storm_begin = 0;
@@ -343,7 +251,6 @@ std::vector<Sample> naive_extract(const sim::DimmTrace& trace, SimTime horizon,
 /// configured for a single tick at exactly t.
 std::vector<float> naive_features_at(const sim::DimmTrace& trace, SimTime t,
                                      const PredictionWindows& windows,
-                                     const FaultThresholds& thresholds,
                                      std::size_t n_features) {
   sim::DimmTrace truncated;
   truncated.id = trace.id;
@@ -358,7 +265,7 @@ std::vector<float> naive_features_at(const sim::DimmTrace& trace, SimTime t,
   PredictionWindows point = windows;
   point.cadence = std::max<SimDuration>(t, 1);
   std::vector<Sample> samples =
-      naive_extract(truncated, t, point, thresholds, n_features);
+      naive_extract(truncated, t, point, n_features);
   if (samples.empty()) return {};
   return std::move(samples.front().features);
 }
@@ -623,13 +530,12 @@ void expect_identical(const std::vector<Sample>& naive,
 
 TEST(ExtractorIncremental, StormHeavyMatchesNaiveByteForByte) {
   const PredictionWindows windows = test_windows();
-  const FaultThresholds thresholds;
-  const FeatureExtractor extractor(windows, thresholds);
+  const FeatureExtractor extractor(windows);
   const sim::DimmTrace trace = storm_heavy_trace(91);
   const SimTime horizon = days(55);
 
   const std::vector<Sample> naive = naive_extract(
-      trace, horizon, windows, thresholds, extractor.schema().size());
+      trace, horizon, windows, extractor.schema().size());
   const std::vector<Sample> incremental = extractor.extract(trace, horizon);
   ASSERT_GT(naive.size(), 100u);
   expect_identical(naive, incremental);
@@ -639,13 +545,12 @@ TEST(ExtractorIncremental, StormHeavyMatchesNaiveByteForByte) {
 
 TEST(ExtractorIncremental, SparseMatchesNaiveByteForByte) {
   const PredictionWindows windows = test_windows();
-  const FaultThresholds thresholds;
-  const FeatureExtractor extractor(windows, thresholds);
+  const FeatureExtractor extractor(windows);
   const sim::DimmTrace trace = sparse_trace(92);
   const SimTime horizon = days(85);
 
   const std::vector<Sample> naive = naive_extract(
-      trace, horizon, windows, thresholds, extractor.schema().size());
+      trace, horizon, windows, extractor.schema().size());
   const std::vector<Sample> incremental = extractor.extract(trace, horizon);
   ASSERT_FALSE(naive.empty());
   // The sparse generator must actually exercise empty-window skipping.
@@ -659,13 +564,12 @@ TEST(ExtractorIncremental, SparseMatchesNaiveByteForByte) {
 
 TEST(ExtractorIncremental, UeTruncatedMatchesNaiveByteForByte) {
   const PredictionWindows windows = test_windows();
-  const FaultThresholds thresholds;
-  const FeatureExtractor extractor(windows, thresholds);
+  const FeatureExtractor extractor(windows);
   const sim::DimmTrace trace = ue_truncated_trace(93);
   const SimTime horizon = days(55);
 
   const std::vector<Sample> naive = naive_extract(
-      trace, horizon, windows, thresholds, extractor.schema().size());
+      trace, horizon, windows, extractor.schema().size());
   const std::vector<Sample> incremental = extractor.extract(trace, horizon);
   ASSERT_FALSE(naive.empty());
   // Truncation and labels: no sample at or past the UE, positives present.
@@ -679,13 +583,12 @@ TEST(ExtractorIncremental, UeTruncatedMatchesNaiveByteForByte) {
 
 TEST(ExtractorIncremental, EdgeCasesMatchNaiveByteForByte) {
   const PredictionWindows windows = test_windows();
-  const FaultThresholds thresholds;
-  const FeatureExtractor extractor(windows, thresholds);
+  const FeatureExtractor extractor(windows);
   const sim::DimmTrace trace = edge_case_trace();
   const SimTime horizon = days(31);
 
   const std::vector<Sample> naive = naive_extract(
-      trace, horizon, windows, thresholds, extractor.schema().size());
+      trace, horizon, windows, extractor.schema().size());
   ASSERT_FALSE(naive.empty());
   EXPECT_EQ(hash_samples(naive), kGoldenEdgeCaseHash);
   // The isolated tail must empty the window between its CEs.
@@ -744,7 +647,7 @@ TEST(ExtractorIncremental, EdgeCasesMatchNaiveByteForByte) {
       offset.ingest_event_at(t, trace.events[next_event]);
     }
     offset.features_at(t, features);
-    ASSERT_EQ(features, naive_features_at(trace, t, windows, thresholds,
+    ASSERT_EQ(features, naive_features_at(trace, t, windows,
                                           extractor.schema().size()))
         << "streaming divergence at t=" << t;
   }
@@ -752,8 +655,7 @@ TEST(ExtractorIncremental, EdgeCasesMatchNaiveByteForByte) {
 
 TEST(ExtractorIncremental, ParallelExtractionIdenticalAtEveryThreadCount) {
   const PredictionWindows windows = test_windows();
-  const FaultThresholds thresholds;
-  const FeatureExtractor extractor(windows, thresholds);
+  const FeatureExtractor extractor(windows);
   const SimTime horizon = days(55);
   std::vector<sim::DimmTrace> dimms;
   for (std::uint64_t seed = 200; seed < 212; ++seed) {
@@ -780,7 +682,7 @@ TEST(ExtractorIncremental, ParallelExtractionIdenticalAtEveryThreadCount) {
       // Cross-check thread count 1 against the naive reference per DIMM.
       for (std::size_t d = 0; d < dimms.size(); ++d) {
         const std::vector<Sample> naive =
-            naive_extract(dimms[d], horizon, windows, thresholds,
+            naive_extract(dimms[d], horizon, windows,
                           extractor.schema().size());
         expect_identical(naive, extracted[d]);
       }
@@ -792,8 +694,7 @@ TEST(ExtractorIncremental, ParallelExtractionIdenticalAtEveryThreadCount) {
 
 TEST(ExtractorIncremental, StreamingStateMatchesOneShotServing) {
   const PredictionWindows windows = test_windows();
-  const FaultThresholds thresholds;
-  const FeatureExtractor extractor(windows, thresholds);
+  const FeatureExtractor extractor(windows);
   const sim::DimmTrace trace = storm_heavy_trace(94);
 
   OnlineExtractorState stream =
@@ -812,7 +713,7 @@ TEST(ExtractorIncremental, StreamingStateMatchesOneShotServing) {
     }
     stream.features_at(t, streamed);
     const std::vector<float> naive = naive_features_at(
-        trace, t, windows, thresholds, extractor.schema().size());
+        trace, t, windows, extractor.schema().size());
     const std::vector<float> one_shot = extractor.features_at(trace, t);
     ASSERT_EQ(streamed, naive) << "streaming divergence at t=" << t;
     ASSERT_EQ(one_shot, naive) << "one-shot divergence at t=" << t;
