@@ -587,8 +587,9 @@ BENCHMARK(BM_ParallelGbdtFit)->Apply(thread_args)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ScoreDimms(benchmark::State& state) {
-  // Train once (shared across thread-count variants); time only the
-  // fleet-scale per-DIMM scoring loop — the paper's operational bottleneck.
+  // Train once (shared across thread-count variants); time only building the
+  // test fold's eval partition (per-DIMM extraction) and scoring it — the
+  // paper's operational bottleneck.
   static const sim::FleetTrace& fleet = feature_fleet();
   static core::Experiment* experiment = [] {
     return new core::Experiment(fleet, core::PipelineConfig{});
@@ -599,9 +600,9 @@ void BM_ScoreDimms(benchmark::State& state) {
   }();
   ThreadPool::ScopedLimit cap(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    const core::Experiment::ScoredDimms scored =
-        experiment->score_dimms(*model, experiment->test_dimms());
-    benchmark::DoNotOptimize(scored.streams.scores.data());
+    const core::ScoreStreamSet scored =
+        experiment->eval_partition(experiment->test_dimms()).score(*model);
+    benchmark::DoNotOptimize(scored.scores.data());
   }
 }
 BENCHMARK(BM_ScoreDimms)->Apply(thread_args)->Unit(benchmark::kMillisecond);

@@ -124,16 +124,9 @@ struct CampaignEngine::FeatureArtifact {
   /// Downsampled + class-rebalanced training rows.
   ml::Dataset train;
 
-  /// One eval partition (validation or test) in SoA stream layout: stream i
-  /// belongs to fleet->dimms[dimm[i]]; `streams` carries offsets + times
-  /// (scores stay empty until the score stage), `x` the feature rows.
-  struct EvalSet {
-    std::vector<std::size_t> dimm;
-    ScoreStreamSet streams;
-    ml::Matrix x;
-  };
-  EvalSet val;
-  EvalSet test;
+  /// Validation and test folds; stream i belongs to fleet->dimms[dimm[i]].
+  EvalPartition val;
+  EvalPartition test;
 
   std::uint64_t feature_hash = sim::kFnvOffset;
 };
@@ -149,10 +142,9 @@ struct CampaignEngine::ModelArtifact {
 
 struct CampaignEngine::ScoreArtifact {
   std::shared_ptr<const ModelArtifact> model;
+  /// Scored model->features->val / ->test, stream for stream.
   ScoreStreamSet val;
   ScoreStreamSet test;
-  std::vector<std::size_t> val_dimm;
-  std::vector<std::size_t> test_dimm;
   double tuned_threshold = 0.5;
   std::uint64_t score_hash = sim::kFnvOffset;
 };
@@ -314,16 +306,6 @@ CampaignEngine::run_extract(const ScenarioSpec& scenario, const EccSpec& ecc,
     TrainingSetBuilder train_set(train_extractor.schema(), sampling,
                                  sample_rng);
 
-    const auto append_eval = [](FeatureArtifact::EvalSet& set, std::size_t g,
-                                const std::vector<features::Sample>& samples) {
-      set.dimm.push_back(g);
-      for (const features::Sample& sample : samples) {
-        set.streams.times.push_back(sample.time);
-        set.x.push_row(sample.features);
-      }
-      set.streams.offsets.push_back(set.streams.times.size());
-    };
-
     // Stream each shard back: extract per DIMM in parallel slots, fold in
     // id order. Extraction draws no RNG, so the fan-out cannot disturb
     // sample_rng's draw sequence (the pipeline's determinism argument).
@@ -352,8 +334,8 @@ CampaignEngine::run_extract(const ScenarioSpec& scenario, const EccSpec& ecc,
         if (roles[g] == Role::kTrain) {
           train_set.add_dimm(std::move(samples));
         } else {  // kPolicyLevel excludes no DIMM
-          append_eval(roles[g] == Role::kVal ? artifact->val : artifact->test,
-                      g, samples);
+          (roles[g] == Role::kVal ? artifact->val : artifact->test)
+              .add(g, samples);
         }
       }
       base += count;
@@ -407,31 +389,22 @@ std::shared_ptr<const CampaignEngine::ScoreArtifact> CampaignEngine::run_score(
     auto artifact = std::make_shared<ScoreArtifact>();
     artifact->model = model;
 
-    const auto score_partition = [&](const FeatureArtifact::EvalSet& in,
-                                     ScoreStreamSet& out) {
-      out.offsets = in.streams.offsets;
-      out.times = in.streams.times;
-      // predict_batch is contractually bit-identical to the serial walk at
-      // any thread count, so the cached score artifact is too.
-      out.scores = model->model->predict_batch(in.x);
-      MEMFP_CHECK_EQ(out.scores.size(), out.times.size());
-      for (const double score : out.scores) {
+    artifact->val = parts.val.score(*model->model);
+    artifact->test = parts.test.score(*model->model);
+    for (const ScoreStreamSet* scored : {&artifact->val, &artifact->test}) {
+      for (const double score : scored->scores) {
         artifact->score_hash = sim::fnv1a_u64(
             artifact->score_hash, std::bit_cast<std::uint64_t>(score));
       }
-    };
-    score_partition(parts.val, artifact->val);
-    score_partition(parts.test, artifact->test);
-    artifact->val_dimm = parts.val.dimm;
-    artifact->test_dimm = parts.test.dimm;
+    }
 
     // Tune the F1 threshold on the validation fold, once per score
     // artifact — every policy deriving its threshold from the tuned point
     // reuses this value. Tuning is model level in both protocols: the
     // predictor is tuned for the UEs it can see.
     std::vector<AlarmOutcome> outcomes;
-    outcomes.reserve(artifact->val_dimm.size());
-    for (const std::size_t g : artifact->val_dimm) {
+    outcomes.reserve(parts.val.dimm.size());
+    for (const std::size_t g : parts.val.dimm) {
       outcomes.push_back(
           ground_truth(parts.fleet->dimms[g], GroundTruth::kPredictableUe));
     }
@@ -448,13 +421,14 @@ std::shared_ptr<const CampaignEngine::ScoreArtifact> CampaignEngine::run_score(
 std::vector<std::pair<std::size_t, sim::DimmTrace>>
 CampaignEngine::load_ue_test_traces(const ScoreArtifact& scored) const {
   const FleetArtifact& fleet = *scored.model->features->fleet;
+  const std::vector<std::size_t>& test_dimm = scored.model->features->test.dimm;
   std::vector<std::pair<std::size_t, sim::DimmTrace>> traces;
   std::unique_ptr<sim::TraceReader> reader;
   std::size_t open_shard = fleet.shard_files.size();
   // test_dimm is ascending (streams were appended in id order), so each
   // shard is opened at most once.
-  for (std::size_t i = 0; i < scored.test_dimm.size(); ++i) {
-    const std::size_t g = scored.test_dimm[i];
+  for (std::size_t i = 0; i < test_dimm.size(); ++i) {
+    const std::size_t g = test_dimm[i];
     if (!fleet.dimms[g].has_ue) continue;
     const auto it = std::upper_bound(fleet.shard_begin.begin(),
                                      fleet.shard_begin.end(), g);
@@ -478,6 +452,7 @@ CampaignPointResult CampaignEngine::evaluate_policy(
   const PolicySpec& policy = spec.policies[q];
   const PredictorSpec& predictor = spec.predictors[p];
   const FleetArtifact& fleet = *scored.model->features->fleet;
+  const std::vector<std::size_t>& test_dimm = scored.model->features->test.dimm;
 
   CampaignPointResult point;
   point.scenario = s;
@@ -495,7 +470,7 @@ CampaignPointResult CampaignEngine::evaluate_policy(
   for (std::size_t i = 0; i < n; ++i) {
     // Sudden UEs count too: their empty streams never alarm → FN, charged
     // to class kSudden in the attribution table.
-    const std::size_t g = scored.test_dimm[i];
+    const std::size_t g = test_dimm[i];
     outcomes[i] = ground_truth(fleet.dimms[g], kPolicyLevel);
     outcomes[i].alarm = alarms[i];
     classes[i] = fleet.fault_class[g];

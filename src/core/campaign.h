@@ -9,7 +9,8 @@
 //   simulate (fleet → trace-store shards)      key: scenario × ECC
 //   extract  (shards → feature partitions)     key: + windows × sampling
 //   train    (train partition → fitted model)  key: + algorithm × seed
-//   score    (model × eval partitions → per-DIMM score streams + threshold)
+//   score    (model × EvalPartition folds → per-DIMM score streams +
+//             threshold; the same EvalPartition::score Experiment uses)
 //   policy   (score streams × policy → results; never cached, always cheap)
 //
 // and executes it through the content-addressed StageCache: an N-point sweep

@@ -71,6 +71,25 @@ std::vector<std::optional<SimTime>> ScoreStreamSet::first_alarms(
   return out;
 }
 
+void EvalPartition::add(std::size_t dimm_index,
+                        const std::vector<features::Sample>& samples) {
+  dimm.push_back(dimm_index);
+  for (const features::Sample& sample : samples) {
+    streams.times.push_back(sample.time);
+    x.push_row(sample.features);
+  }
+  streams.offsets.push_back(streams.times.size());
+}
+
+ScoreStreamSet EvalPartition::score(const ml::BinaryClassifier& model) const {
+  ScoreStreamSet out;
+  out.offsets = streams.offsets;
+  out.times = streams.times;
+  if (x.rows() > 0) out.scores = model.predict_batch(x);
+  MEMFP_CHECK_EQ(out.scores.size(), out.times.size());
+  return out;
+}
+
 double tune_threshold(const ScoreStreamSet& streams,
                       const std::vector<AlarmOutcome>& outcomes_template,
                       const features::PredictionWindows& windows) {

@@ -11,8 +11,11 @@
 #include <vector>
 
 #include "common/time.h"
+#include "features/sample.h"
 #include "features/windows.h"
+#include "ml/dataset.h"
 #include "ml/metrics.h"
+#include "ml/model.h"
 
 namespace memfp::core {
 
@@ -50,6 +53,24 @@ struct ScoreStreamSet {
   /// serving-layer latch.
   std::vector<std::optional<SimTime>> first_alarms(
       std::span<const double> thresholds) const;
+};
+
+/// One evaluation fold (validation or test), the single DIMM-level scoring
+/// path of Experiment and the campaign: stream i belongs to DIMM dimm[i]
+/// (an index the caller chooses), `streams` carries offsets and times with
+/// no scores, and `x` holds the feature rows in stream order.
+struct EvalPartition {
+  std::vector<std::size_t> dimm;
+  ScoreStreamSet streams;
+  ml::Matrix x;
+
+  /// Appends one DIMM's eval-cadence samples as the next stream.
+  void add(std::size_t dimm_index,
+           const std::vector<features::Sample>& samples);
+
+  /// The streams with scores filled by ONE predict_batch over every row;
+  /// predict_batch is bit-identical at any thread count, so the scores are.
+  ScoreStreamSet score(const ml::BinaryClassifier& model) const;
 };
 
 /// Picks the threshold maximizing DIMM-level F1 over validation streams.

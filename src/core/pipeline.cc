@@ -149,49 +149,22 @@ void Experiment::project(std::vector<features::Sample>& samples) const {
   }
 }
 
-Experiment::ScoredDimms Experiment::score_dimms(
-    const ml::BinaryClassifier& model,
+EvalPartition Experiment::eval_partition(
     const std::vector<const sim::DimmTrace*>& dimms) const {
-  struct DimmScores {
-    std::vector<SimTime> times;
-    std::vector<double> scores;
-    std::vector<int> labels;
-  };
-  std::vector<DimmScores> per_dimm(dimms.size());
+  EvalPartition partition;
+  std::vector<std::vector<features::Sample>> slots(dimms.size());
   ThreadPool::ScopedLimit limit(config_.num_threads);
-  ThreadPool::global().parallel_for(
+  ThreadPool::global().parallel_for_ordered(
       dimms.size(),
-      [&](std::size_t d) {
-        std::vector<features::Sample> samples =
-            eval_extractor_.extract(*dimms[d], fleet_->horizon);
-        project(samples);
-        DimmScores& out = per_dimm[d];
-        ml::Matrix x;
-        for (const features::Sample& sample : samples) {
-          out.times.push_back(sample.time);
-          out.labels.push_back(sample.label);
-          x.push_row(sample.features);
-        }
-        // predict_batch dispatches to the flat batched engine for the tree
-        // ensembles (FlatEnsemble) — same scores, one pass over x.
-        if (x.rows() > 0) out.scores = model.predict_batch(x);
+      [&](std::size_t i) {
+        slots[i] = eval_extractor_.extract(*dimms[i], fleet_->horizon);
+        project(slots[i]);
       },
-      /*grain=*/1);
-
-  // Ordered merge: streams are appended in DIMM order, exactly as the
-  // serial loop appended them.
-  ScoredDimms scored;
-  ScoreStreamSet& streams = scored.streams;
-  for (const DimmScores& dimm : per_dimm) {
-    streams.times.insert(streams.times.end(), dimm.times.begin(),
-                         dimm.times.end());
-    streams.scores.insert(streams.scores.end(), dimm.scores.begin(),
-                          dimm.scores.end());
-    streams.offsets.push_back(streams.times.size());
-    scored.labels.insert(scored.labels.end(), dimm.labels.begin(),
-                         dimm.labels.end());
-  }
-  return scored;
+      [&](std::size_t i) {
+        const std::vector<features::Sample> samples = std::move(slots[i]);
+        partition.add(i, samples);
+      });
+  return partition;
 }
 
 Experiment::Result Experiment::run(Algorithm algorithm) {
@@ -214,14 +187,15 @@ Experiment::run_with_model(Algorithm algorithm) {
   model->fit(train_set_, rng);
 
   // Threshold tuning on the validation DIMMs.
-  result.threshold = tune_threshold(score_dimms(*model, val_dimms_).streams,
-                                    outcomes_of(val_dimms_), config_.windows);
+  result.threshold =
+      tune_threshold(eval_partition(val_dimms_).score(*model),
+                     outcomes_of(val_dimms_), config_.windows);
 
   // Held-out evaluation.
-  const ScoredDimms test = score_dimms(*model, test_dimms_);
   std::vector<AlarmOutcome> outcomes = outcomes_of(test_dimms_);
   const std::vector<std::optional<SimTime>> alarms =
-      test.streams.first_alarms({&result.threshold, 1});
+      eval_partition(test_dimms_).score(*model).first_alarms(
+          {&result.threshold, 1});
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     outcomes[i].alarm = alarms[i];
   }
@@ -230,15 +204,6 @@ Experiment::run_with_model(Algorithm algorithm) {
   result.recall = result.confusion.recall();
   result.f1 = result.confusion.f1();
   result.virr = result.confusion.virr();
-  // Pooled over the labelled test samples; the ambiguous ones (-1) are out.
-  std::vector<double> pooled_scores;
-  std::vector<int> pooled_labels;
-  for (std::size_t r = 0; r < test.labels.size(); ++r) {
-    if (test.labels[r] < 0) continue;
-    pooled_scores.push_back(test.streams.scores[r]);
-    pooled_labels.push_back(test.labels[r]);
-  }
-  result.sample_pr_auc = ml::pr_auc(pooled_scores, pooled_labels);
   return {std::move(result), std::move(model)};
 }
 

@@ -5,8 +5,9 @@
 // Experiment applies its model-level rule, GroundTruth::kPredictableUe.
 //
 // The pipeline never materializes the full fleet sample set: training rows
-// are downsampled per DIMM as they are extracted, and evaluation streams one
-// DIMM at a time.
+// are downsampled per DIMM as they are extracted. Each evaluation fold is one
+// EvalPartition (core/evaluation.h), scored by one predict_batch call, the
+// same scoring path the campaign engine uses.
 #pragma once
 
 #include <memory>
@@ -58,8 +59,7 @@ class Experiment {
     double recall = 0.0;
     double f1 = 0.0;
     double virr = 0.0;
-    double sample_pr_auc = 0.0;  ///< pooled test-sample diagnostic
-    bool applicable = true;      ///< false renders as "X" (paper Table II)
+    bool applicable = true;  ///< false renders as "X" (paper Table II)
   };
   Result run(Algorithm algorithm);
 
@@ -77,21 +77,11 @@ class Experiment {
     return test_dimms_;
   }
 
-  /// Every eval-cadence sample of `dimms`, scored: stream i is dimms[i]'s,
-  /// and labels[r] is the label of the sample scored at streams.scores[r]
-  /// (-1 = ambiguous, see PredictionWindows::label_for).
-  struct ScoredDimms {
-    ScoreStreamSet streams;
-    std::vector<int> labels;
-  };
-
-  /// One pool task per DIMM, not one fleet-wide predict_batch: the
-  /// FT-Transformer scores a batch serially, so per-DIMM tasks keep every
-  /// model's scoring parallel. Streams and labels are merged in DIMM order,
-  /// so confusion counts and tuned thresholds are bit-identical to the
-  /// serial path at any thread count.
-  ScoredDimms score_dimms(
-      const ml::BinaryClassifier& model,
+  /// Every eval-cadence sample of `dimms` (projected onto the active
+  /// features) as one partition: stream i is dimms[i]'s, with dimm[i] = i.
+  /// DIMMs are extracted in parallel and appended in order, so the
+  /// partition is identical at any thread count.
+  EvalPartition eval_partition(
       const std::vector<const sim::DimmTrace*>& dimms) const;
 
  private:

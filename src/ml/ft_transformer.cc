@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "ml/metrics.h"
 
 namespace memfp::ml {
@@ -319,33 +320,41 @@ void FtTransformer::fit(const Dataset& train, Rng& rng) {
 std::vector<double> FtTransformer::predict_batch(const Matrix& x) const {
   std::vector<double> scores(x.rows(), 0.0);
   if (!fitted_ || x.rows() == 0) return scores;
-  Rng dummy(1);
-  const std::size_t chunk = 512;
-  for (std::size_t start = 0; start < x.rows(); start += chunk) {
-    const std::size_t stop = std::min(start + chunk, x.rows());
-    const std::size_t batch = stop - start;
-    Tensor numeric(batch, numeric_index_.size());
-    std::vector<int> codes;
-    std::vector<float> numeric_row;
-    for (std::size_t i = 0; i < batch; ++i) {
-      numeric_row.clear();
-      std::vector<int> row_codes;
-      preprocess(x.row(start + i), numeric_row, row_codes);
-      for (std::size_t c = 0; c < numeric_row.size(); ++c) {
-        numeric(i, c) = numeric_row[c];
-      }
-      codes.insert(codes.end(), row_codes.begin(), row_codes.end());
-    }
-    Graph graph;
-    auto* self = const_cast<FtTransformer*>(this);
-    BoundParams bound(graph, self->all_params());
-    const int logits =
-        forward(graph, bound, numeric, codes, batch, /*train=*/false, dummy);
-    const Tensor& z = graph.value(logits);
-    for (std::size_t i = 0; i < batch; ++i) {
-      scores[start + i] = sigmoid(z(i, 0));
-    }
-  }
+  // Fixed 512-row chunks on the pool, each writing only its own slots: the
+  // chunking depends on x alone and a row's score does not depend on the
+  // other rows of its chunk, so the scores are bit-identical at any thread
+  // count (and to per-row predict).
+  constexpr std::size_t kChunk = 512;
+  // forward draws from the rng only for dropout, which inference skips, so
+  // the chunks share one that is never touched.
+  Rng unused(1);
+  ThreadPool::global().parallel_for_chunks(
+      x.rows(),
+      [&](std::size_t start, std::size_t stop) {
+        const std::size_t batch = stop - start;
+        Tensor numeric(batch, numeric_index_.size());
+        std::vector<int> codes;
+        std::vector<float> numeric_row;
+        for (std::size_t i = 0; i < batch; ++i) {
+          numeric_row.clear();
+          std::vector<int> row_codes;
+          preprocess(x.row(start + i), numeric_row, row_codes);
+          for (std::size_t c = 0; c < numeric_row.size(); ++c) {
+            numeric(i, c) = numeric_row[c];
+          }
+          codes.insert(codes.end(), row_codes.begin(), row_codes.end());
+        }
+        Graph graph;
+        auto* self = const_cast<FtTransformer*>(this);
+        BoundParams bound(graph, self->all_params());
+        const int logits = forward(graph, bound, numeric, codes, batch,
+                                   /*train=*/false, unused);
+        const Tensor& z = graph.value(logits);
+        for (std::size_t i = 0; i < batch; ++i) {
+          scores[start + i] = sigmoid(z(i, 0));
+        }
+      },
+      kChunk);
   return scores;
 }
 

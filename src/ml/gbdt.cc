@@ -165,17 +165,4 @@ Gbdt Gbdt::from_json(const Json& json) {
   return model;
 }
 
-std::vector<double> Gbdt::feature_split_counts(std::size_t features) const {
-  std::vector<double> counts(features, 0.0);
-  for (const Tree& tree : trees_) {
-    for (const TreeNode& node : tree.nodes()) {
-      if (node.feature >= 0 &&
-          static_cast<std::size_t>(node.feature) < features) {
-        counts[static_cast<std::size_t>(node.feature)] += 1.0;
-      }
-    }
-  }
-  return counts;
-}
-
 }  // namespace memfp::ml

@@ -34,7 +34,6 @@ class Gbdt final : public BinaryClassifier {
 
   int rounds_used() const { return static_cast<int>(trees_.size()); }
   const std::vector<Tree>& trees() const { return trees_; }
-  std::vector<double> feature_split_counts(std::size_t features) const;
 
  private:
   double raw_score(std::span<const float> features) const;

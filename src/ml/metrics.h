@@ -1,6 +1,7 @@
 // Evaluation metrics for failure prediction (paper Section IV): precision,
-// recall, F1 and the VM Interruption Reduction Rate (VIRR), plus PR-AUC,
-// ROC-AUC and log loss for model selection.
+// recall, F1 and the VM Interruption Reduction Rate (VIRR) of a DIMM-level
+// confusion matrix, plus the log loss that GBDT and FT-Transformer early
+// stopping read.
 #pragma once
 
 #include <cstddef>
@@ -22,14 +23,6 @@ struct Confusion {
   /// more VM interruptions than it prevents.
   double virr(double cold_migration_fraction = 0.1) const;
 };
-
-/// Area under the precision-recall curve (average precision).
-double pr_auc(const std::vector<double>& scores,
-              const std::vector<int>& labels);
-
-/// Area under the ROC curve.
-double roc_auc(const std::vector<double>& scores,
-               const std::vector<int>& labels);
 
 /// Binary cross-entropy of probability scores.
 double log_loss(const std::vector<double>& scores,

@@ -30,10 +30,6 @@ class RandomForest final : public BinaryClassifier {
 
   const std::vector<Tree>& trees() const { return trees_; }
 
-  /// Mean decrease in impurity usage count per feature (split frequency),
-  /// a cheap importance proxy for the monitoring dashboards.
-  std::vector<double> feature_split_counts(std::size_t features) const;
-
  private:
   RandomForestParams params_;
   std::vector<Tree> trees_;

@@ -64,12 +64,17 @@ std::optional<double> ServingEngine::score_row(
     dram::DimmId dimm, SimTime t, const std::vector<float>& features) {
   if (features.empty()) return std::nullopt;  // no observation window
   const double score = model_->predict(features);
-  monitoring_->record_prediction(score);
-  if (crossing(score)) {
-    alarms_->raise(dimm, t, score);
-    monitoring_->record_alarm();
-  }
+  record_outcome(dimm, t, score);
   return score;
+}
+
+bool ServingEngine::record_outcome(dram::DimmId dimm, SimTime t,
+                                   double score) {
+  monitoring_->record_prediction(score);
+  if (!crossing(score)) return false;
+  alarms_->raise(dimm, t, score);
+  monitoring_->record_alarm();
+  return true;
 }
 
 ServingEngine::ShardOutput ServingEngine::serve_shard(
@@ -327,15 +332,11 @@ void ServingEngine::replay(const ShardOutput& output, ServingStats& stats) {
   for (std::size_t i = 0; i < output.dimm_ids.size(); ++i) {
     const dram::DimmId dimm = output.dimm_ids[i];
     for (const Outcome& outcome : output.outcomes[i]) {
-      monitoring_->record_prediction(outcome.score);
       ++stats.scored;
       stats.score_hash =
           fold_score(stats.score_hash, dimm, outcome.time, outcome.score);
-      if (outcome.alarmed) {
-        alarms_->raise(dimm, outcome.time, outcome.score);
-        monitoring_->record_alarm();
-        ++stats.alarms;
-      }
+      // outcome.alarmed was crossing(score) in serve_shard.
+      if (record_outcome(dimm, outcome.time, outcome.score)) ++stats.alarms;
     }
   }
 }
@@ -458,14 +459,9 @@ ServingStats ServingEngine::run_reference(const sim::FleetTrace& fleet,
       stream.features_at(t, features);
       if (!features.empty()) {
         const double score = model_->predict(features);
-        monitoring_->record_prediction(score);
         ++stats.scored;
         stats.score_hash = fold_score(stats.score_hash, dimm.id, t, score);
-        if (crossing(score)) {
-          alarms_->raise(dimm.id, t, score);
-          monitoring_->record_alarm();
-          ++stats.alarms;
-        }
+        if (record_outcome(dimm.id, t, score)) ++stats.alarms;
       }
       if (alarms_->first_alarm(dimm.id)) break;  // mitigation in flight
     }

@@ -137,11 +137,10 @@ class ServingEngine {
   ServingStats run_reference(const sim::FleetTrace& fleet, SimTime start,
                              SimTime end, SimDuration cadence);
 
-  /// Scores one extracted feature row: predict, report to monitoring, alarm
-  /// on threshold crossing. Shared by the one-shot path (score_dimm) and
-  /// the replay of streamed outcomes, so both apply the same `score >=
-  /// threshold` crossing rule. Returns nullopt when `features` is empty
-  /// (no observation window) — distinct from a genuine 0.0 score.
+  /// Scores one extracted feature row and applies record_outcome to it
+  /// (the one-shot path, OnlinePredictionService::score_dimm). Returns
+  /// nullopt when `features` is empty (no observation window) — distinct
+  /// from a genuine 0.0 score.
   std::optional<double> score_row(dram::DimmId dimm, SimTime t,
                                   const std::vector<float>& features);
 
@@ -172,6 +171,11 @@ class ServingEngine {
   };
 
   bool crossing(double score) const { return score >= threshold_; }
+
+  /// The one outcome rule of score_row, replay and run_reference: records
+  /// the prediction and, on a threshold crossing, raises the alarm and
+  /// records it. Returns whether it alarmed.
+  bool record_outcome(dram::DimmId dimm, SimTime t, double score);
 
   /// Tick-major batched sweep over one shard's DIMM traces. Pure with
   /// respect to shared state: reads alarms_ (pre-existing alarms), writes

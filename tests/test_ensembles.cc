@@ -83,7 +83,13 @@ TEST(RandomForest, FeatureSplitCountsFavorInformativeFeatures) {
   }
   RandomForest model;
   model.fit(d, rng);
-  const std::vector<double> counts = model.feature_split_counts(2);
+  // Split frequency per feature, over every internal node of every tree.
+  std::size_t counts[2] = {0, 0};
+  for (const Tree& tree : model.trees()) {
+    for (const TreeNode& node : tree.nodes()) {
+      if (node.feature >= 0) ++counts[static_cast<std::size_t>(node.feature)];
+    }
+  }
   EXPECT_GT(counts[0], counts[1]);
 }
 

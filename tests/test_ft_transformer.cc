@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
-#include "ml/metrics.h"
+#include "support/roc_auc.h"
 
 namespace memfp::ml {
 namespace {
@@ -69,8 +71,12 @@ TEST(FtTransformer, PredictMatchesBatch) {
   FtTransformer model(small_params());
   model.fit(train, rng);
   const std::vector<double> batch = model.predict_batch(train.x);
-  for (std::size_t r = 0; r < 20; ++r) {
-    EXPECT_NEAR(model.predict(train.x.row(r)), batch[r], 1e-6);
+  ASSERT_EQ(batch.size(), train.size());
+  for (std::size_t r = 0; r < train.size(); ++r) {
+    // Bit equality: a row's score must not depend on its batch.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(model.predict(train.x.row(r))),
+              std::bit_cast<std::uint64_t>(batch[r]))
+        << r;
   }
 }
 

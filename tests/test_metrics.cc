@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "common/rng.h"
+#include "support/roc_auc.h"
 
 namespace memfp::ml {
 namespace {
@@ -39,27 +39,6 @@ TEST(Virr, NegativeWhenPrecisionBelowColdFraction) {
 TEST(Virr, ZeroColdMigrationGivesRecall) {
   Confusion c{6, 2, 2, 90};
   EXPECT_NEAR(c.virr(0.0), c.recall(), 1e-12);
-}
-
-TEST(PrAuc, PerfectRankingIsOne) {
-  const std::vector<double> scores{0.9, 0.8, 0.3, 0.1};
-  const std::vector<int> labels{1, 1, 0, 0};
-  EXPECT_NEAR(pr_auc(scores, labels), 1.0, 1e-12);
-}
-
-TEST(PrAuc, RandomRankingNearPrevalence) {
-  std::vector<double> scores;
-  std::vector<int> labels;
-  Rng rng(9);
-  for (int i = 0; i < 20000; ++i) {
-    scores.push_back(rng.uniform());
-    labels.push_back(rng.bernoulli(0.2));
-  }
-  EXPECT_NEAR(pr_auc(scores, labels), 0.2, 0.02);
-}
-
-TEST(PrAuc, NoPositivesIsZero) {
-  EXPECT_EQ(pr_auc({0.5, 0.4}, {0, 0}), 0.0);
 }
 
 TEST(RocAuc, PerfectAndInverted) {

@@ -1,15 +1,20 @@
 // The determinism contract of the threading work: the fleet simulator, the
-// forest/GBDT trainers and the pipeline scorer must produce byte-identical
-// results at every thread count (same seed => same Table II numbers at 1, 4
-// and N threads). These tests run each hot path under ScopedLimit(1) and
+// forest/GBDT trainers, the FT-Transformer's batch scoring and the
+// pipeline's eval partitions must produce byte-identical results at every
+// thread count (same seed => same Table II numbers at 1, 4 and N threads). These tests run each hot path under ScopedLimit(1) and
 // ScopedLimit(4) and compare outputs exactly — no tolerances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "core/pipeline.h"
+#include "ml/ft_transformer.h"
 #include "ml/gbdt.h"
 #include "ml/random_forest.h"
 #include "sim/fleet.h"
@@ -174,9 +179,9 @@ TEST(ParallelDeterminism, ForestSubtractionPathIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelDeterminism, ExperimentResultIdenticalAcrossThreadCounts) {
-  // End to end: confusion matrix, tuned threshold and PR-AUC of a Random
-  // Forest run must not depend on the thread count (the seed fully
-  // determines Table II).
+  // End to end: confusion matrix and tuned threshold of a Random Forest run
+  // must not depend on the thread count (the seed fully determines Table
+  // II).
   const sim::FleetTrace fleet =
       sim::simulate_fleet(sim::purley_scenario().scaled(0.05));
   const auto run_at = [&](int threads) {
@@ -195,10 +200,9 @@ TEST(ParallelDeterminism, ExperimentResultIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.precision, wide.precision);
   EXPECT_EQ(serial.recall, wide.recall);
   EXPECT_EQ(serial.f1, wide.f1);
-  EXPECT_EQ(serial.sample_pr_auc, wide.sample_pr_auc);
 }
 
-TEST(ParallelDeterminism, ScoreDimmsMergesInDimmOrder) {
+TEST(ParallelDeterminism, EvalPartitionIdenticalAcrossThreadCounts) {
   const sim::FleetTrace fleet =
       sim::simulate_fleet(sim::purley_scenario().scaled(0.05));
   core::PipelineConfig config;
@@ -207,17 +211,67 @@ TEST(ParallelDeterminism, ScoreDimmsMergesInDimmOrder) {
       experiment.run_with_model(core::Algorithm::kRandomForest);
   ASSERT_NE(model, nullptr);
 
-  const auto score_at = [&](int threads) {
+  const auto partition_at = [&](int threads) {
     ThreadPool::ScopedLimit cap(threads);
-    return experiment.score_dimms(*model, experiment.test_dimms());
+    const core::EvalPartition partition =
+        experiment.eval_partition(experiment.test_dimms());
+    return std::pair(partition, partition.score(*model));
   };
-  const core::Experiment::ScoredDimms one = score_at(1);
-  const core::Experiment::ScoredDimms four = score_at(4);
-  // Ordered merge: element-for-element.
+  const auto [one, one_scored] = partition_at(1);
+  const auto [four, four_scored] = partition_at(4);
+  // DIMMs are appended in order: element for element.
+  ASSERT_EQ(one.streams.streams(), experiment.test_dimm_count());
+  EXPECT_EQ(one.dimm, four.dimm);
   EXPECT_EQ(one.streams.offsets, four.streams.offsets);
   EXPECT_EQ(one.streams.times, four.streams.times);
-  EXPECT_EQ(one.streams.scores, four.streams.scores);
-  EXPECT_EQ(one.labels, four.labels);
+  ASSERT_EQ(one.x.rows(), four.x.rows());
+  ASSERT_EQ(one.x.cols(), four.x.cols());
+  for (std::size_t r = 0; r < one.x.rows(); ++r) {
+    ASSERT_TRUE(std::ranges::equal(one.x.row(r), four.x.row(r))) << r;
+  }
+  EXPECT_EQ(one_scored.offsets, one.streams.offsets);
+  EXPECT_EQ(one_scored.times, one.streams.times);
+  EXPECT_EQ(one_scored.scores, four_scored.scores);
+}
+
+TEST(ParallelDeterminism,
+     FtTransformerPredictBatchIdenticalAcrossThreadCounts) {
+  // More than two 512-row chunks, so the chunks run on several workers.
+  Rng rng(41);
+  ml::Dataset d;
+  for (int i = 0; i < 1300; ++i) {
+    const float x0 = static_cast<float>(rng.normal());
+    d.x.push_row(std::vector<float>{x0, static_cast<float>(rng.normal())});
+    d.y.push_back(rng.bernoulli(x0 > 0.0f ? 0.8 : 0.2) ? 1 : 0);
+    d.weight.push_back(1.0f);
+    d.dimm.push_back(static_cast<dram::DimmId>(i));
+    d.time.push_back(0);
+  }
+  ml::FtTransformerParams params;
+  params.d_model = 8;
+  params.blocks = 1;
+  params.epochs = 2;
+  ml::FtTransformer model(params);
+  model.fit(d, rng);
+
+  const auto batch_at = [&](int threads) {
+    ThreadPool::ScopedLimit cap(threads);
+    return model.predict_batch(d.x);
+  };
+  const std::vector<double> one = batch_at(1);
+  const std::vector<double> four = batch_at(4);
+  ASSERT_EQ(one.size(), d.size());
+  ASSERT_EQ(four.size(), d.size());
+  for (std::size_t r = 0; r < d.size(); ++r) {
+    const double single = model.predict(d.x.row(r));
+    // Bit patterns, not values: the contract is byte identity.
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(one[r]),
+              std::bit_cast<std::uint64_t>(single))
+        << r;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(four[r]),
+              std::bit_cast<std::uint64_t>(single))
+        << r;
+  }
 }
 
 }  // namespace

@@ -13,9 +13,12 @@
 #                       shard read and verified at 1 and 4 threads). The
 #                       baseline is re-measured in the same run: this
 #                       tree's bench source built against HEAD and run
-#                       alternately with the current build for 6 rounds;
-#                       medians with their range and the rounds the current
-#                       build won — rerun after changes to src/features/,
+#                       alternately with the current build for 6 rounds,
+#                       every single-thread row pinned to CPU 0 (taskset;
+#                       required) and BM_ShardRead/threads:4 unpinned in
+#                       its own invocation; medians with their range and
+#                       the rounds the current build won — rerun after
+#                       changes to src/features/,
 #                       src/ml/tensor.cc, src/sim/trace_{store,reader}.*
 #                       or src/dram/error_pattern.*.
 #   BENCH_predict.json  BM_ForestPredict / BM_GbdtPredict row-count scaling
@@ -157,6 +160,16 @@ if want extract; then
 # with the current build for ROUNDS rounds. Both sides see the same host
 # load; the speedup column is the ratio of their medians. The script stops
 # if this tree's bench source does not build against HEAD.
+#
+# The single-thread rows run pinned to one CPU (taskset -c 0) on both sides:
+# unpinned, the scheduler's CPU migrations on a shared host moved unchanged
+# code by up to 20% between recordings. BM_ShardRead/threads:4 needs more
+# than one CPU, so it runs unpinned in its own invocation.
+if ! command -v taskset > /dev/null; then
+  echo "run_benches.sh: the extract section pins its single-thread rows" \
+       "with taskset, which is not installed; nothing recorded" >&2
+  exit 1
+fi
 ROUNDS=6
 BASE_COMMIT="$(git -C "$ROOT" rev-parse --short HEAD)"
 BASE_SRC="$BUILD/bench_base/src"
@@ -172,7 +185,8 @@ cmake -S "$BASE_SRC" -B "$BASE_BUILD" -DCMAKE_BUILD_TYPE="$BUILD_TYPE" >&2
 cp "$ROOT/bench/bench_micro.cc" "$BASE_SRC/bench/bench_micro.cc"
 cmake --build "$BASE_BUILD" -j --target bench_micro >&2
 
-EXTRACT_FILTER='^BM_(Extract|FeaturesAt|StreamStorm|ShardDecode|Gemm|GemmBt)$|^BM_ShardRead/'
+PINNED_FILTER='^BM_(Extract|FeaturesAt|StreamStorm|ShardDecode|Gemm|GemmBt)$|^BM_ShardRead/threads:1/'
+UNPINNED_FILTER='^BM_ShardRead/threads:4/'
 RAW_EXTRACT=()
 for round in $(seq 1 "$ROUNDS"); do
   # Odd rounds run the baseline first, even rounds the current build.
@@ -181,20 +195,25 @@ for round in $(seq 1 "$ROUNDS"); do
   for side in $sides; do
     bin="$BUILD/bench/bench_micro"
     if [ "$side" = base ]; then bin="$BASE_BUILD/bench/bench_micro"; fi
-    raw="$BUILD/bench_extract_${side}_${round}_raw.json"
-    "$bin" --benchmark_filter="$EXTRACT_FILTER" \
+    raw="$BUILD/bench_extract_${side}_${round}_pinned_raw.json"
+    taskset -c 0 "$bin" --benchmark_filter="$PINNED_FILTER" \
+      --benchmark_out="$raw" --benchmark_out_format=json >&2
+    RAW_EXTRACT+=("$side" "$raw")
+    raw="$BUILD/bench_extract_${side}_${round}_unpinned_raw.json"
+    "$bin" --benchmark_filter="$UNPINNED_FILTER" \
       --benchmark_out="$raw" --benchmark_out_format=json >&2
     RAW_EXTRACT+=("$side" "$raw")
   done
 done
 
-python3 - "$ROOT/BENCH_extract.json" "$BASE_COMMIT" "${RAW_EXTRACT[@]}" <<'EOF'
+python3 - "$ROOT/BENCH_extract.json" "$BASE_COMMIT" "$ROUNDS" \
+  "${RAW_EXTRACT[@]}" <<'EOF'
 import json
 import statistics
 import sys
 
-out_path, base_commit = sys.argv[1:3]
-runs = sys.argv[3:]  # side, raw file, side, raw file, ...
+out_path, base_commit, rounds = sys.argv[1:4]
+runs = sys.argv[4:]  # side, raw file, side, raw file, ...
 
 UNIT_TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
 
@@ -239,7 +258,9 @@ out = {
     "generated_by": "tools/run_benches.sh",
     "threads": 1,
     "threads_note": "BM_ShardRead/threads:N runs on N threads",
-    "rounds": len(runs) // 4,
+    "pinning": "taskset -c 0 on both sides for every row but "
+               "BM_ShardRead/threads:4, which runs unpinned",
+    "rounds": int(rounds),
     "context": context,
     "baseline_commit": base_commit,
     "baseline_ms": baseline,
