@@ -1,8 +1,9 @@
 // The determinism contract of the threading work: the fleet simulator, the
 // forest/GBDT trainers, the FT-Transformer's batch scoring and the
 // pipeline's eval partitions must produce byte-identical results at every
-// thread count (same seed => same Table II numbers at 1, 4 and N threads). These tests run each hot path under ScopedLimit(1) and
-// ScopedLimit(4) and compare outputs exactly — no tolerances.
+// thread count (same seed => same Table II numbers at 1, 4 and N threads).
+// These tests run each hot path under ScopedLimit(1) and ScopedLimit(4) and
+// compare outputs exactly — no tolerances.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -179,9 +180,8 @@ TEST(ParallelDeterminism, ForestSubtractionPathIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelDeterminism, ExperimentResultIdenticalAcrossThreadCounts) {
-  // End to end: confusion matrix and tuned threshold of a Random Forest run
-  // must not depend on the thread count (the seed fully determines Table
-  // II).
+  // End to end: a Random Forest run's confusion matrix and tuned threshold
+  // must not depend on the thread count (the seed fully determines Table II).
   const sim::FleetTrace fleet =
       sim::simulate_fleet(sim::purley_scenario().scaled(0.05));
   const auto run_at = [&](int threads) {

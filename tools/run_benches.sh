@@ -14,7 +14,8 @@
 #                       baseline is re-measured in the same run: this
 #                       tree's bench source built against HEAD and run
 #                       alternately with the current build for 6 rounds,
-#                       every single-thread row pinned to CPU 0 (taskset;
+#                       each round the best of 5 repetitions, every
+#                       single-thread row pinned to CPU 0 (taskset;
 #                       required) and BM_ShardRead/threads:4 unpinned in
 #                       its own invocation; medians with their range and
 #                       the rounds the current build won — rerun after
@@ -164,13 +165,15 @@ if want extract; then
 # The single-thread rows run pinned to one CPU (taskset -c 0) on both sides:
 # unpinned, the scheduler's CPU migrations on a shared host moved unchanged
 # code by up to 20% between recordings. BM_ShardRead/threads:4 needs more
-# than one CPU, so it runs unpinned in its own invocation.
+# than one CPU, so it runs unpinned in its own invocation. Other tenants'
+# load only ever slows a run, so a round keeps the best of REPS repetitions.
 if ! command -v taskset > /dev/null; then
   echo "run_benches.sh: the extract section pins its single-thread rows" \
        "with taskset, which is not installed; nothing recorded" >&2
   exit 1
 fi
 ROUNDS=6
+REPS=5
 BASE_COMMIT="$(git -C "$ROOT" rev-parse --short HEAD)"
 BASE_SRC="$BUILD/bench_base/src"
 BASE_BUILD="$BUILD/bench_base/build"
@@ -197,27 +200,30 @@ for round in $(seq 1 "$ROUNDS"); do
     if [ "$side" = base ]; then bin="$BASE_BUILD/bench/bench_micro"; fi
     raw="$BUILD/bench_extract_${side}_${round}_pinned_raw.json"
     taskset -c 0 "$bin" --benchmark_filter="$PINNED_FILTER" \
+      --benchmark_repetitions="$REPS" \
       --benchmark_out="$raw" --benchmark_out_format=json >&2
     RAW_EXTRACT+=("$side" "$raw")
     raw="$BUILD/bench_extract_${side}_${round}_unpinned_raw.json"
     "$bin" --benchmark_filter="$UNPINNED_FILTER" \
+      --benchmark_repetitions="$REPS" \
       --benchmark_out="$raw" --benchmark_out_format=json >&2
     RAW_EXTRACT+=("$side" "$raw")
   done
 done
 
-python3 - "$ROOT/BENCH_extract.json" "$BASE_COMMIT" "$ROUNDS" \
+python3 - "$ROOT/BENCH_extract.json" "$BASE_COMMIT" "$ROUNDS" "$REPS" \
   "${RAW_EXTRACT[@]}" <<'EOF'
 import json
 import statistics
 import sys
 
-out_path, base_commit, rounds = sys.argv[1:4]
-runs = sys.argv[4:]  # side, raw file, side, raw file, ...
+out_path, base_commit, rounds, reps = sys.argv[1:5]
+runs = sys.argv[5:]  # side, raw file, side, raw file, ...
 
 UNIT_TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
 
-# times[side][bench] = one wall time (ms) per round, in round order.
+# times[side][bench] = one wall time (ms) per round, in round order: the
+# best of the round's repetitions.
 times = {"base": {}, "current": {}}
 context = {}
 for side, raw_path in zip(runs[0::2], runs[1::2]):
@@ -225,11 +231,14 @@ for side, raw_path in zip(runs[0::2], runs[1::2]):
         raw = json.load(f)
     if side == "current" and not context:
         context = raw.get("context", {})
+    best = {}
     for entry in raw.get("benchmarks", []):
         if entry.get("run_type", "iteration") != "iteration":
             continue
         ms = entry["real_time"] * UNIT_TO_MS[entry.get("time_unit", "ns")]
-        times[side].setdefault(entry["name"], []).append(ms)
+        best[entry["name"]] = min(ms, best.get(entry["name"], ms))
+    for bench, ms in best.items():
+        times[side].setdefault(bench, []).append(ms)
 
 
 def medians(side):
@@ -261,6 +270,8 @@ out = {
     "pinning": "taskset -c 0 on both sides for every row but "
                "BM_ShardRead/threads:4, which runs unpinned",
     "rounds": int(rounds),
+    "repetitions_per_round": int(reps),
+    "round_statistic": "best of the round's repetitions",
     "context": context,
     "baseline_commit": base_commit,
     "baseline_ms": baseline,
